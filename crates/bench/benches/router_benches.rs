@@ -20,7 +20,7 @@ use dxbar_noc::noc_sim::router::{RouterModel, StepCtx};
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::generator::SyntheticTraffic;
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{dxbar, noc_baseline, run_synthetic, Design};
+use dxbar_noc::{dxbar, noc_baseline, Design, Run};
 use std::hint::black_box;
 
 fn mesh() -> Mesh {
@@ -282,12 +282,12 @@ fn bench_full_run(c: &mut Criterion) {
     };
     g.bench_function("dxbar_dor_ur_load04", |b| {
         b.iter(|| {
-            black_box(run_synthetic(
-                Design::DXbarDor,
-                &cfg,
-                Pattern::UniformRandom,
-                0.4,
-            ))
+            black_box(
+                Run::new(Design::DXbarDor, &cfg)
+                    .synthetic(Pattern::UniformRandom, 0.4)
+                    .run()
+                    .result,
+            )
         });
     });
     g.finish();

@@ -28,9 +28,10 @@
 //! * `--top N`        — slowest-packet table length (default 10);
 //! * `--tile-threads N` — tile-parallel stepping workers (also via
 //!   `DXBAR_TILE_THREADS`); accepted and validated for CLI parity with
-//!   `dxbar-sim`/`campaign_run`, but traced runs always use the
-//!   sequential engine — the per-flit event stream is an observer the
-//!   tiled sweep does not drive (results are bit-identical either way).
+//!   `dxbar-sim`/`campaign_run` and passed to the run, but traced runs
+//!   always step sequentially — the per-flit event stream is an observer
+//!   the tiled sweep does not drive (results are bit-identical either
+//!   way).
 //!
 //! `DXBAR_QUICK=1` shrinks the simulated windows as for the figure bins.
 
@@ -40,7 +41,9 @@ use dxbar_noc::noc_sim::diagnostics::NodeField;
 use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, to_jsonl, RecordingSink};
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic_traced, run_synthetic_traced_verified, Design};
+use dxbar_noc::noc_verify::VerifyOptions;
+use dxbar_noc::{Design, Run};
+use noc_scenario::ScenarioRun;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::exit;
@@ -54,6 +57,7 @@ struct Options {
     events: usize,
     stride: u64,
     top: usize,
+    tile_threads: Option<usize>,
     verify: bool,
 }
 
@@ -113,6 +117,7 @@ fn parse_args() -> Options {
         events: 0,
         stride: 1,
         top: 10,
+        tile_threads: None,
         verify: verify_from_env(),
     };
     let mut args = std::env::args().skip(1);
@@ -166,19 +171,21 @@ fn parse_args() -> Options {
             }
             "--tile-threads" => {
                 let v = value("--tile-threads");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit(&format!("bad tile-thread count '{v}'")));
-                std::env::set_var("DXBAR_TILE_THREADS", n.to_string());
+                opts.tile_threads =
+                    Some(v.parse().unwrap_or_else(|_| {
+                        usage_and_exit(&format!("bad tile-thread count '{v}'"))
+                    }));
             }
             "--verify" => opts.verify = true,
             other => usage_and_exit(&format!("unknown option '{other}'")),
         }
     }
-    if let Ok(v) = std::env::var("DXBAR_TILE_THREADS") {
-        if v.trim().parse::<usize>().is_err() {
-            usage_and_exit(&format!("bad DXBAR_TILE_THREADS '{v}'"));
-        }
+    if let (None, Ok(v)) = (opts.tile_threads, std::env::var("DXBAR_TILE_THREADS")) {
+        opts.tile_threads = Some(
+            v.trim()
+                .parse()
+                .unwrap_or_else(|_| usage_and_exit(&format!("bad DXBAR_TILE_THREADS '{v}'"))),
+        );
     }
     opts
 }
@@ -208,34 +215,21 @@ fn main() {
         cfg.width,
         cfg.height
     );
-    let (result, sink, verify_report) = match (&scenario, opts.verify) {
-        (Some(spec), true) => {
-            let (r, s, rep) = noc_scenario::run_scenario_traced_verified(
-                opts.design,
-                &cfg,
-                spec,
-                opts.load,
-                sink,
-            )
-            .unwrap_or_else(|e| usage_and_exit(&e));
-            (r, s, Some(rep))
-        }
-        (Some(spec), false) => {
-            let (r, s) =
-                noc_scenario::run_scenario_traced(opts.design, &cfg, spec, opts.load, sink)
-                    .unwrap_or_else(|e| usage_and_exit(&e));
-            (r, s, None)
-        }
-        (None, true) => {
-            let (r, s, rep) =
-                run_synthetic_traced_verified(opts.design, &cfg, opts.pattern, opts.load, sink);
-            (r, s, Some(rep))
-        }
-        (None, false) => {
-            let (r, s) = run_synthetic_traced(opts.design, &cfg, opts.pattern, opts.load, sink);
-            (r, s, None)
-        }
+    let run = Run::new(opts.design, &cfg)
+        .trace(sink)
+        .tile_threads(opts.tile_threads.unwrap_or(0));
+    let mut run = match scenario {
+        Some(spec) => run
+            .scenario(spec, opts.load)
+            .unwrap_or_else(|e| usage_and_exit(&e)),
+        None => run.synthetic(opts.pattern, opts.load),
     };
+    if opts.verify {
+        run = run.verify(VerifyOptions::default());
+    }
+    let out = run.run();
+    let (result, verify_report) = (out.result, out.verify);
+    let sink = out.trace.expect("the run was traced");
 
     std::fs::create_dir_all(&opts.out).expect("create output dir");
 

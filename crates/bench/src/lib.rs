@@ -100,11 +100,13 @@ pub fn multi_seed() -> bool {
 }
 
 /// Executor options wired from the environment: `DXBAR_CACHE` for the
-/// result cache, `DXBAR_JOBS` picked up by the executor itself.
+/// result cache, `DXBAR_VERIFY` for the oracle suite, `DXBAR_JOBS` and
+/// `DXBAR_TILE_THREADS` picked up by the executor itself.
 pub fn campaign_options() -> ExecOptions {
     ExecOptions {
         cache_dir: std::env::var_os("DXBAR_CACHE").map(PathBuf::from),
         progress: true,
+        verify: noc_campaign::verify_from_env(),
         ..ExecOptions::default()
     }
 }
@@ -245,7 +247,7 @@ mod tests {
     #[test]
     fn par_grid_preserves_order_and_determinism() {
         use dxbar_noc::noc_traffic::patterns::Pattern;
-        use dxbar_noc::run_synthetic;
+        use dxbar_noc::Run;
         let cfg = SimConfig {
             width: 4,
             height: 4,
@@ -255,13 +257,14 @@ mod tests {
             ..SimConfig::default()
         };
         let loads = [0.1, 0.2, 0.3];
-        let a = par_grid(&loads, |&l| {
-            run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, l)
-        });
-        let b: Vec<RunResult> = loads
-            .iter()
-            .map(|&l| run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, l))
-            .collect();
+        let run = |&l: &f64| {
+            Run::new(Design::DXbarDor, &cfg)
+                .synthetic(Pattern::UniformRandom, l)
+                .run()
+                .result
+        };
+        let a = par_grid(&loads, run);
+        let b: Vec<RunResult> = loads.iter().map(run).collect();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.offered_load, y.offered_load);
             assert_eq!(x.accepted_packets, y.accepted_packets);

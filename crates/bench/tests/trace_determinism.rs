@@ -8,7 +8,7 @@ use dxbar_noc::noc_sim::noc_trace::{
     chrome_trace, from_jsonl, percentile_of_sorted, to_jsonl, RecordingSink, TraceEvent,
 };
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic_traced, Design, SimConfig};
+use dxbar_noc::{Design, Run, SimConfig};
 use rayon::prelude::*;
 
 fn small_cfg() -> SimConfig {
@@ -24,8 +24,11 @@ fn small_cfg() -> SimConfig {
 
 fn traced_jsonl(design: Design, load: f64) -> (String, Vec<TraceEvent>, RecordingSink) {
     let cfg = small_cfg();
-    let sink = RecordingSink::new(0, 1);
-    let (_result, sink) = run_synthetic_traced(design, &cfg, Pattern::UniformRandom, load, sink);
+    let out = Run::new(design, &cfg)
+        .synthetic(Pattern::UniformRandom, load)
+        .trace(RecordingSink::new(0, 1))
+        .run();
+    let sink = out.trace.expect("traced run");
     let events: Vec<TraceEvent> = sink.recorder.iter().cloned().collect();
     (to_jsonl(&events), events, sink)
 }

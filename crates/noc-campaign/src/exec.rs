@@ -25,10 +25,9 @@ use crate::CODE_VERSION;
 use dxbar_noc::noc_faults::FaultPlan;
 use dxbar_noc::noc_resilience::ResiliencePlan;
 use dxbar_noc::noc_topology::Mesh;
-use dxbar_noc::{
-    run_splash, run_splash_verified, run_synthetic, run_synthetic_resilient,
-    run_synthetic_resilient_verified, run_synthetic_verified, run_synthetic_with_faults, RunResult,
-};
+use dxbar_noc::noc_verify::VerifyOptions;
+use dxbar_noc::{Run, RunResult};
+use noc_scenario::ScenarioRun;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,18 +45,18 @@ pub struct ExecOptions {
     pub cache_dir: Option<PathBuf>,
     /// Worker threads. `None` falls back to the `DXBAR_JOBS` environment
     /// variable, then to the number of available cores. Either way the
-    /// budget is divided by `DXBAR_TILE_THREADS` (tile-parallel workers
-    /// inside each simulation) when that is set — see [`resolve_jobs`].
+    /// budget is divided by the tile workers stepping each simulation —
+    /// see [`resolve_jobs`].
     pub jobs: Option<usize>,
     /// Code-version salt for cache keys (tests override to simulate a
     /// simulator change; everything else uses [`CODE_VERSION`]).
     pub code_salt: String,
     /// Emit progress/ETA lines to stderr.
     pub progress: bool,
-    /// Run every simulated point under the runtime-oracle suite. Defaults
-    /// to the `DXBAR_VERIFY` environment variable ("1"/"true"). Verified
-    /// results use a `+verify`-salted cache namespace so they never mix
-    /// with unverified ones.
+    /// Run every simulated point under the runtime-oracle suite (default
+    /// off; the binaries turn it on from `--verify` or `DXBAR_VERIFY`).
+    /// Verified results use a `+verify`-salted cache namespace so they
+    /// never mix with unverified ones.
     pub verify: bool,
     /// Claim each point through an advisory file lock in the cache
     /// directory before simulating it, and steal other work while a sibling
@@ -77,7 +76,7 @@ impl Default for ExecOptions {
             jobs: None,
             code_salt: CODE_VERSION.to_string(),
             progress: false,
-            verify: verify_from_env(),
+            verify: false,
             cooperative: false,
             io_policy: no_faults(),
         }
@@ -337,125 +336,78 @@ fn resilience_plan(p: &PointSpec) -> ResiliencePlan {
     )
 }
 
-/// Run one point with the production simulator: dispatches on the
-/// workload, generates the seeded fault (or resilience) plan, and applies
-/// the group's traffic tag.
-pub fn run_point(p: &PointSpec) -> RunResult {
-    let mut r = match &p.workload {
-        Workload::Synthetic { pattern, load } => {
-            if p.has_resilience() {
-                let (r, reach) = run_synthetic_resilient(
-                    p.design,
-                    &p.config,
-                    *pattern,
-                    *load,
-                    &resilience_plan(p),
-                );
-                debug_assert!(
-                    reach.is_fully_connected(),
-                    "generated plan keeps mesh connected"
-                );
-                r
-            } else if p.fault_fraction > 0.0 {
-                run_synthetic_with_faults(p.design, &p.config, *pattern, *load, &fault_plan(p))
-            } else {
-                run_synthetic(p.design, &p.config, *pattern, *load)
-            }
-        }
-        Workload::Splash { app, max_cycles } => run_splash(p.design, &p.config, *app, *max_cycles),
+/// Run one point with the production simulator: the one mapping from a
+/// [`PointSpec`] to a [`Run`]. Picks the workload, generates the seeded
+/// fault (or resilience) plan, attaches the oracle suite when `verify` is
+/// set, and applies the group's traffic tag. A violating run still
+/// returns its result; the violation count travels in [`PointVerify`].
+fn simulate(p: &PointSpec, verify: bool, tile_threads: usize) -> (RunResult, Option<PointVerify>) {
+    let faults = (p.fault_fraction > 0.0).then(|| fault_plan(p));
+    let run = Run::new(p.design, &p.config).tile_threads(tile_threads);
+    let mut run = match &p.workload {
+        Workload::Synthetic { pattern, load } => run.synthetic(*pattern, *load),
+        Workload::Splash { app, max_cycles } => run.splash(*app, *max_cycles),
         Workload::Scenario { scenario, load } => {
             let spec = noc_scenario::ScenarioSpec::resolve(scenario, &p.config)
                 .expect("campaign validation resolves scenario names");
-            noc_scenario::run_scenario(p.design, &p.config, &spec, *load)
+            run.scenario(spec, *load)
                 .expect("campaign validation accepts scenario/design pairs")
         }
     };
+    if p.has_resilience() {
+        let plan = resilience_plan(p);
+        debug_assert!(
+            plan.reachability(&Mesh::for_config(&p.config))
+                .is_fully_connected(),
+            "generated plan keeps mesh connected"
+        );
+        run = run.resilience(plan);
+    } else if let Some(plan) = &faults {
+        run = run.faults(plan);
+    }
+    if verify {
+        run = run.verify(VerifyOptions::default());
+    }
+    let out = run.run();
+    let mut r = out.result;
     if let Some(tag) = &p.tag {
         r.traffic = tag.clone();
     }
-    r
+    let verify = out.verify.map(|report| PointVerify {
+        violations: report.total_violations,
+        checks: report.checks.total(),
+    });
+    (r, verify)
+}
+
+/// Run one point unverified on the sequential engine.
+pub fn run_point(p: &PointSpec) -> RunResult {
+    simulate(p, false, 0).0
 }
 
 /// [`run_point`] under the runtime-oracle suite. A violating run still
 /// returns its result — the violation count travels in [`PointVerify`] and
 /// is surfaced through the campaign manifest's `verify` block.
 pub fn run_point_verified(p: &PointSpec) -> (RunResult, PointVerify) {
-    // Scenario runs flatten violations into their report rather than an
-    // error, so they bypass the Result-shaped dispatch below.
-    if let Workload::Scenario { scenario, load } = &p.workload {
-        let spec = noc_scenario::ScenarioSpec::resolve(scenario, &p.config)
-            .expect("campaign validation resolves scenario names");
-        let (mut r, report) =
-            noc_scenario::run_scenario_verified(p.design, &p.config, &spec, *load)
-                .expect("campaign validation accepts scenario/design pairs");
-        if let Some(tag) = &p.tag {
-            r.traffic = tag.clone();
-        }
-        return (
-            r,
-            PointVerify {
-                violations: report.total_violations,
-                checks: report.checks.total(),
-            },
-        );
-    }
-    let outcome = match &p.workload {
-        Workload::Synthetic { pattern, load } if p.has_resilience() => {
-            run_synthetic_resilient_verified(
-                p.design,
-                &p.config,
-                *pattern,
-                *load,
-                &resilience_plan(p),
-            )
-            .map(|(r, _reach, report)| (r, report))
-        }
-        Workload::Synthetic { pattern, load } => {
-            let plan = if p.fault_fraction > 0.0 {
-                fault_plan(p)
-            } else {
-                FaultPlan::none(&Mesh::for_config(&p.config))
-            };
-            run_synthetic_verified(p.design, &p.config, *pattern, *load, &plan)
-        }
-        Workload::Splash { app, max_cycles } => {
-            run_splash_verified(p.design, &p.config, *app, *max_cycles)
-        }
-        Workload::Scenario { .. } => unreachable!("handled above"),
-    };
-    let (mut r, verify) = match outcome {
-        Ok((r, report)) => (
-            r,
-            PointVerify {
-                violations: 0,
-                checks: report.checks.total(),
-            },
-        ),
-        Err(e) => (
-            e.result,
-            PointVerify {
-                violations: e.report.total_violations,
-                checks: e.report.checks.total(),
-            },
-        ),
-    };
-    if let Some(tag) = &p.tag {
-        r.traffic = tag.clone();
-    }
-    (r, verify)
+    let (r, v) = simulate(p, true, 0);
+    (r, v.expect("a verified run reports"))
 }
 
-/// Run a campaign with the production runner ([`run_point`], or
-/// [`run_point_verified`] when `opts.verify` is set).
+/// The production runner [`execute_point`] takes: every point simulated
+/// under `verify`, each stepped by `tile_threads` tile workers.
+pub fn point_runner(
+    verify: bool,
+    tile_threads: usize,
+) -> impl Fn(&PointSpec) -> (RunResult, Option<PointVerify>) + Sync {
+    move |p| simulate(p, verify, tile_threads)
+}
+
+/// Run a campaign with the production runner ([`point_runner`]), verified
+/// when `opts.verify` is set and stepped by the tile workers of
+/// [`resolve_jobs`].
 pub fn run_campaign(spec: &CampaignSpec, opts: &ExecOptions) -> Result<CampaignReport, String> {
-    if opts.verify {
-        run_campaign_inner(spec, opts, &|p| {
-            let (r, v) = run_point_verified(p);
-            (r, Some(v))
-        })
-    } else {
-        run_campaign_with(spec, opts, &run_point)
-    }
+    let tile_threads = resolve_jobs(opts.jobs).tile_threads;
+    run_campaign_inner(spec, opts, &point_runner(opts.verify, tile_threads))
 }
 
 /// Run a campaign with a custom runner (tests inject panicking or counting
@@ -514,7 +466,7 @@ fn run_campaign_inner(
         }
     }
 
-    let jobs = resolve_jobs(opts.jobs, work.len());
+    let jobs = resolve_jobs(opts.jobs).jobs.min(work.len().max(1));
     if opts.progress {
         eprintln!(
             "[campaign {}] {} points ({} unique), {} worker{}, retries={} cache={}",
@@ -639,32 +591,37 @@ fn run_campaign_inner(
     Ok(report)
 }
 
-/// Worker-thread count: explicit option, then `DXBAR_JOBS`, then all
-/// available cores; always within `[1, work]`.
+/// Threads one executor uses: point-level workers, and the tile workers
+/// stepping each point's simulation (0 = the sequential engine).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadBudget {
+    pub jobs: usize,
+    pub tile_threads: usize,
+}
+
+/// The executor's thread budget, and the one place campaigns and the
+/// daemon read `DXBAR_TILE_THREADS` (unset or unparsable = 0).
 ///
-/// When `DXBAR_TILE_THREADS` requests tile-parallel stepping *inside* each
-/// simulation, the point-level budget is divided by that count so the total
-/// fan-out (campaign workers x tile workers per simulation) stays within the
-/// machine budget. A daemon on an 8-core box with `DXBAR_JOBS=8
-/// DXBAR_TILE_THREADS=4` therefore runs 2 points at a time, each stepped by
-/// 4 tile workers, rather than oversubscribing 32 threads.
-fn resolve_jobs(explicit: Option<usize>, work: usize) -> usize {
+/// Point workers: explicit option, then `DXBAR_JOBS`, then all available
+/// cores, divided by the tile workers so the total fan-out (campaign
+/// workers x tile workers per simulation) stays within the machine
+/// budget; at least 1. A daemon on an 8-core box with
+/// `DXBAR_JOBS=8 DXBAR_TILE_THREADS=4` therefore runs 2 points at a time,
+/// each stepped by 4 tile workers, rather than oversubscribing 32 threads.
+pub fn resolve_jobs(explicit: Option<usize>) -> ThreadBudget {
+    let tile_threads = std::env::var("DXBAR_TILE_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .unwrap_or(0);
     let cap = explicit.or_else(jobs_from_env).unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     });
-    let cap = cap / tile_threads_from_env().max(1);
-    cap.clamp(1, work.max(1))
-}
-
-/// Tile-parallel workers each simulation will spin up (`Network` reads the
-/// same variable through the `rayon` shim); 0 when unset or sequential.
-fn tile_threads_from_env() -> usize {
-    std::env::var("DXBAR_TILE_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(0)
+    ThreadBudget {
+        jobs: (cap / tile_threads.max(1)).max(1),
+        tile_threads,
+    }
 }
 
 fn jobs_from_env() -> Option<usize> {

@@ -68,8 +68,9 @@ pub use agg::{render_table, Aggregate, MetricSummary};
 pub use cache::ResultCache;
 pub use coop::{CacheLocks, Claim, PointClaim};
 pub use exec::{
-    execute_point, run_campaign, run_campaign_with, run_point, run_point_verified, verify_from_env,
-    CampaignReport, ExecOptions, ExecPoint, PointFailure, PointOutcome, PointStatus, PointVerify,
+    execute_point, point_runner, resolve_jobs, run_campaign, run_campaign_with, run_point,
+    run_point_verified, verify_from_env, CampaignReport, ExecOptions, ExecPoint, PointFailure,
+    PointOutcome, PointStatus, PointVerify, ThreadBudget,
 };
 pub use io::{no_faults, IoFault, IoOp, IoPolicy, NoFaults};
 pub use manifest::{CampaignManifest, PointRecord, QuarantinedPoint, VerifyBlock};

@@ -292,14 +292,19 @@ impl CampaignSpec {
                             })?;
                         }
                     }
-                    if g.fault_fractions.iter().any(|&f| f > 0.0) {
-                        return Err(format!(
-                            "group {:?}: scenario workloads run fault-free \
-                             (fault_fractions must be empty or zero)",
-                            g.label
-                        ));
-                    }
                 }
+            }
+            // Crossbar fault plans are seeded against the warmup window of
+            // an open-loop synthetic run; closed-loop SPLASH and scenario
+            // points would run fault-free under a faulty cache key.
+            if g.fault_fractions.iter().any(|&f| f > 0.0)
+                && !matches!(g.workload, WorkloadAxis::Synthetic { .. })
+            {
+                return Err(format!(
+                    "group {:?}: SPLASH and scenario workloads run fault-free \
+                     (fault_fractions must be empty or zero)",
+                    g.label
+                ));
             }
             if let Some(&f) = g.fault_fractions.iter().find(|f| !(0.0..=1.0).contains(*f)) {
                 return Err(format!(
@@ -647,6 +652,19 @@ mod tests {
         for (a, b) in s.points().iter().zip(back.points().iter()) {
             assert_eq!(a.cache_key(CODE_VERSION), b.cache_key(CODE_VERSION));
         }
+    }
+
+    #[test]
+    fn splash_group_with_faults_is_rejected() {
+        let mut s = spec();
+        s.groups[0].workload = WorkloadAxis::Splash {
+            apps: vec![SplashApp::Fft],
+            max_cycles: 10_000,
+        };
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("fault_fractions"), "{err}");
+        s.groups[0].fault_fractions = vec![0.0];
+        assert!(s.validate().is_ok());
     }
 
     #[test]

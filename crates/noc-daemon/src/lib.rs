@@ -121,6 +121,9 @@ pub struct DaemonState {
     cache_plain: ResultCache,
     cache_verified: ResultCache,
     pub(crate) figures: FigureRegistry,
+    /// Tile workers stepping each simulated point (see
+    /// [`noc_campaign::resolve_jobs`]).
+    pub(crate) tile_threads: usize,
     started: Instant,
 }
 
@@ -172,6 +175,7 @@ impl DaemonState {
             cache_plain,
             cache_verified,
             figures,
+            tile_threads: noc_campaign::resolve_jobs(Some(cfg.workers)).tile_threads,
             started: Instant::now(),
             cfg,
         }))

@@ -21,8 +21,7 @@
 use crate::queue::{JobId, JobState};
 use crate::DaemonState;
 use noc_campaign::{
-    execute_point, run_point, run_point_verified, CampaignReport, ExecPoint, PointOutcome,
-    PointSpec,
+    execute_point, point_runner, CampaignReport, ExecPoint, PointOutcome, PointSpec,
 };
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -48,29 +47,14 @@ impl DaemonState {
     /// Worker thread body: drain the queue until shutdown.
     pub fn worker_loop(&self) {
         while let Some(task) = self.next_task() {
-            let cache = self.cache_for(task.verify);
-            let res = if task.verify {
-                execute_point(
-                    &task.point,
-                    &task.key,
-                    Some(cache),
-                    Some(&self.locks),
-                    task.retries,
-                    &|p| {
-                        let (r, v) = run_point_verified(p);
-                        (r, Some(v))
-                    },
-                )
-            } else {
-                execute_point(
-                    &task.point,
-                    &task.key,
-                    Some(cache),
-                    Some(&self.locks),
-                    task.retries,
-                    &|p| (run_point(p), None),
-                )
-            };
+            let res = execute_point(
+                &task.point,
+                &task.key,
+                Some(self.cache_for(task.verify)),
+                Some(&self.locks),
+                task.retries,
+                &point_runner(task.verify, self.tile_threads),
+            );
             self.finish_point(&task, res);
         }
     }

@@ -5,6 +5,9 @@
 mod common;
 
 use common::{request, request_auth, send_raw, status_of, wait_for_job};
+use dxbar_noc::noc_traffic::splash::SplashApp;
+use dxbar_noc::{Design, SimConfig};
+use noc_campaign::{CampaignSpec, PointGroup, WorkloadAxis};
 use noc_daemon::{Daemon, DaemonConfig};
 use std::time::Duration;
 
@@ -286,6 +289,33 @@ fn responses_carry_json_errors_not_panics() {
     assert_eq!(request(addr, "GET", "/jobs/notanumber", None).0, 404);
     assert_eq!(request(addr, "POST", "/jobs/999/cancel", None).0, 404);
     assert_eq!(request(addr, "GET", "/figures/no_such_fig", None).0, 404);
+
+    // A SPLASH group with crossbar faults would run fault-free under a
+    // faulty cache key: the spec is refused and no job is queued.
+    let spec = CampaignSpec::new("splash_faults").with_group(PointGroup {
+        label: "splash".into(),
+        config: SimConfig::default(),
+        designs: vec![Design::DXbarDor],
+        workload: WorkloadAxis::Splash {
+            apps: vec![SplashApp::Fft],
+            max_cycles: 10_000,
+        },
+        fault_fractions: vec![0.0, 0.5],
+        transient_rates: vec![],
+        link_faults: vec![],
+        seeds: vec![],
+        tag: None,
+    });
+    let submit = format!("{{\"spec\": {}}}", spec.to_json());
+    let (status, body) = request(addr, "POST", "/jobs", Some(&submit));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("fault_fractions"), "{body}");
+    let (_, jobs) = request(addr, "GET", "/jobs", None);
+    assert!(serde_json::parse(&jobs)
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .is_empty());
 
     // Every error body is the standard JSON shape.
     let (_, body) = request(addr, "GET", "/jobs/999", None);

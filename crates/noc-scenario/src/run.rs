@@ -1,18 +1,17 @@
-//! Scenario execution: build the (possibly heterogeneous) network on the
-//! scenario's topology, drive it with [`ScenarioTraffic`], and return the
-//! standard [`RunResult`] with the per-app slice filled in.
+//! Scenario execution: the [`Workload`] that builds the (possibly
+//! heterogeneous) network on the scenario's topology, drives it with
+//! [`ScenarioTraffic`], and returns the standard [`noc_sim::RunResult`]
+//! with the per-app slice filled in. [`ScenarioRun::scenario`] plugs it
+//! into a [`Run`].
 
 use crate::spec::{RouterMix, ScenarioSpec};
 use crate::traffic::ScenarioTraffic;
-use dxbar_noc::{Design, RouterKind};
+use dxbar_noc::{Design, Engine, RouterKind, Run, RunOutput, Workload};
 use noc_core::SimConfig;
 use noc_faults::FaultPlan;
-use noc_power::energy::EnergyModel;
-use noc_sim::noc_trace::RecordingSink;
-use noc_sim::runner::{run, RunMode};
-use noc_sim::{Network, RunResult};
+use noc_sim::runner::RunMode;
+use noc_sim::Network;
 use noc_topology::Mesh;
-use noc_verify::VerifyReport;
 
 /// The base config with the scenario's topology applied.
 pub fn scenario_config(cfg: &SimConfig, spec: &ScenarioSpec) -> SimConfig {
@@ -25,12 +24,16 @@ pub fn scenario_config(cfg: &SimConfig, spec: &ScenarioSpec) -> SimConfig {
 /// Build the scenario's network for a base design: every router is `base`
 /// except where the mix places an island. `cfg` must already carry the
 /// scenario topology (see [`scenario_config`]).
-pub fn build_network(base: Design, cfg: &SimConfig, spec: &ScenarioSpec) -> Network<RouterKind> {
+pub fn build_network(
+    base: Design,
+    cfg: &SimConfig,
+    spec: &ScenarioSpec,
+    faults: &FaultPlan,
+) -> Network<RouterKind> {
     let mesh = Mesh::for_config(cfg);
-    let faults = FaultPlan::none(&mesh);
     Network::new(cfg, &|n| {
         let d = spec.mix.island_at(mesh.coord_of(n)).unwrap_or(base);
-        d.build_router(cfg, &faults, n)
+        d.build_router(cfg, faults, n)
     })
 }
 
@@ -44,122 +47,61 @@ fn fabric_name(base: Design, spec: &ScenarioSpec) -> String {
     }
 }
 
-/// Run one scenario point open-loop: `base` design (plus the scenario's
-/// island overlay) at `offered_load` (fraction of capacity; each app scales
-/// it by its `load_scale`). The result's `apps` carry the per-application
-/// statistics; the global fields aggregate over all apps as usual.
-pub fn run_scenario(
-    base: Design,
-    cfg: &SimConfig,
-    spec: &ScenarioSpec,
+/// One scenario point open-loop: the run's design (plus the scenario's
+/// island overlay) at `offered_load` (fraction of capacity; each app
+/// scales it by its `load_scale`). The result's `apps` carry the
+/// per-application statistics; the global fields aggregate over all apps
+/// as usual.
+struct Scenario {
+    spec: ScenarioSpec,
     offered_load: f64,
-) -> Result<RunResult, String> {
-    spec.validate(cfg, base)?;
-    let cfg = scenario_config(cfg, spec);
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = build_network(base, &cfg, spec);
-    let mut model = ScenarioTraffic::new(spec, mesh, &cfg, offered_load);
-    let mut result = run(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    );
-    result.design = fabric_name(base, spec);
-    result.offered_load = Some(offered_load);
-    result.apps = model.app_stats();
-    Ok(result)
 }
 
-/// [`run_scenario`] under the runtime-oracle suite (wrap-aware route
-/// legality on torus/cmesh, per-node profiles on mixed fabrics). A
-/// violating run still returns its result — check
-/// [`VerifyReport::is_clean`] / `total_violations`.
-pub fn run_scenario_verified(
-    base: Design,
-    cfg: &SimConfig,
-    spec: &ScenarioSpec,
-    offered_load: f64,
-) -> Result<(RunResult, VerifyReport), String> {
-    spec.validate(cfg, base)?;
-    let cfg = scenario_config(cfg, spec);
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = build_network(base, &cfg, spec);
-    let mut model = ScenarioTraffic::new(spec, mesh, &cfg, offered_load);
-    let (mut result, report) = match noc_verify::run_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    ) {
-        Ok((r, report)) => (r, report),
-        Err(e) => (e.result, e.report),
-    };
-    result.design = fabric_name(base, spec);
-    result.offered_load = Some(offered_load);
-    result.apps = model.app_stats();
-    Ok((result, report))
+impl Workload for Scenario {
+    fn drive(&self, engine: Engine<'_>) -> RunOutput {
+        let base = engine.design();
+        let cfg = scenario_config(engine.config(), &self.spec);
+        let mut net = build_network(base, &cfg, &self.spec, engine.faults());
+        let mut model =
+            ScenarioTraffic::new(&self.spec, Mesh::for_config(&cfg), &cfg, self.offered_load);
+        let mut out = engine.run(&mut net, &mut model, RunMode::OpenLoop);
+        out.result.design = fabric_name(base, &self.spec);
+        out.result.offered_load = Some(self.offered_load);
+        out.result.apps = model.app_stats();
+        out
+    }
 }
 
-/// Like [`run_scenario`] with a recording trace sink attached: returns
-/// the run result together with the recording (flit lifetimes, ring-
-/// buffered events, per-cycle series).
-pub fn run_scenario_traced(
-    base: Design,
-    cfg: &SimConfig,
-    spec: &ScenarioSpec,
-    offered_load: f64,
-    sink: RecordingSink,
-) -> Result<(RunResult, RecordingSink), String> {
-    spec.validate(cfg, base)?;
-    let cfg = scenario_config(cfg, spec);
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = build_network(base, &cfg, spec);
-    let mut model = ScenarioTraffic::new(spec, mesh, &cfg, offered_load);
-    let (mut result, sink) = noc_sim::runner::run_traced(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-        sink,
-    );
-    result.design = fabric_name(base, spec);
-    result.offered_load = Some(offered_load);
-    result.apps = model.app_stats();
-    Ok((result, sink))
+/// Scenario workloads for [`Run`].
+pub trait ScenarioRun<'a> {
+    /// Run `spec` at `offered_load`, after checking that the scenario
+    /// accepts the run's design and config.
+    fn scenario(self, spec: ScenarioSpec, offered_load: f64) -> Result<Run<'a>, String>;
 }
 
-/// Like [`run_scenario_traced`] with the runtime-oracle suite attached as
-/// well. The report comes back unconditionally so callers keep the trace
-/// even when verification fails; check [`VerifyReport::is_clean`].
-pub fn run_scenario_traced_verified(
-    base: Design,
-    cfg: &SimConfig,
-    spec: &ScenarioSpec,
-    offered_load: f64,
-    sink: RecordingSink,
-) -> Result<(RunResult, RecordingSink, VerifyReport), String> {
-    spec.validate(cfg, base)?;
-    let cfg = scenario_config(cfg, spec);
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = build_network(base, &cfg, spec);
-    let mut model = ScenarioTraffic::new(spec, mesh, &cfg, offered_load);
-    let (mut result, sink, report) = noc_verify::run_traced_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-        sink,
-    );
-    result.design = fabric_name(base, spec);
-    result.offered_load = Some(offered_load);
-    result.apps = model.app_stats();
-    Ok((result, sink, report))
+impl<'a> ScenarioRun<'a> for Run<'a> {
+    fn scenario(self, spec: ScenarioSpec, offered_load: f64) -> Result<Run<'a>, String> {
+        spec.validate(self.config(), self.design())?;
+        Ok(self.workload(Scenario { spec, offered_load }))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_sim::RunResult;
+
+    fn scenario_result(
+        base: Design,
+        cfg: &SimConfig,
+        spec: &ScenarioSpec,
+        offered_load: f64,
+    ) -> Result<RunResult, String> {
+        Ok(Run::new(base, cfg)
+            .scenario(spec.clone(), offered_load)?
+            .run()
+            .result)
+    }
 
     fn cfg() -> SimConfig {
         SimConfig {
@@ -176,7 +118,7 @@ mod tests {
     fn interference_run_fills_per_app_stats() {
         let c = cfg();
         let spec = ScenarioSpec::named("interfere2", &c).unwrap();
-        let r = run_scenario(Design::DXbarDor, &c, &spec, 0.15).unwrap();
+        let r = scenario_result(Design::DXbarDor, &c, &spec, 0.15).unwrap();
         assert_eq!(r.apps.len(), 2);
         assert_eq!(r.apps[0].name, "fg");
         assert_eq!(r.apps[1].name, "bg");
@@ -197,7 +139,13 @@ mod tests {
     fn mixed_fabric_builds_heterogeneous_network() {
         let c = cfg();
         let spec = ScenarioSpec::named("mixed_islands", &c).unwrap();
-        let net = build_network(Design::FlitBless, &scenario_config(&c, &spec), &spec);
+        let sc = scenario_config(&c, &spec);
+        let net = build_network(
+            Design::FlitBless,
+            &sc,
+            &spec,
+            &FaultPlan::none(&Mesh::for_config(&sc)),
+        );
         assert!(!net.is_homogeneous());
         assert_eq!(net.design_name(), "Flit-Bless");
         let mesh = Mesh::for_config(&c);
@@ -208,7 +156,7 @@ mod tests {
             }
         }
         assert!(damq > 0 && damq < 16);
-        let r = run_scenario(Design::FlitBless, &c, &spec, 0.1).unwrap();
+        let r = scenario_result(Design::FlitBless, &c, &spec, 0.1).unwrap();
         assert_eq!(r.design, "Flit-Bless + DAMQ islands");
         assert!(r.accepted_packets > 0);
     }
@@ -217,7 +165,7 @@ mod tests {
     fn credit_coupled_mix_is_rejected() {
         let c = cfg();
         let spec = ScenarioSpec::named("mixed_islands", &c).unwrap();
-        assert!(run_scenario(Design::DXbarDor, &c, &spec, 0.1)
+        assert!(scenario_result(Design::DXbarDor, &c, &spec, 0.1)
             .unwrap_err()
             .contains("credit"));
     }
@@ -227,7 +175,12 @@ mod tests {
         let c = cfg();
         for name in ["torus_ur", "cmesh_ur"] {
             let spec = ScenarioSpec::named(name, &c).unwrap();
-            let (r, report) = run_scenario_verified(Design::FlitBless, &c, &spec, 0.1).unwrap();
+            let out = Run::new(Design::FlitBless, &c)
+                .scenario(spec, 0.1)
+                .unwrap()
+                .verify(dxbar_noc::noc_verify::VerifyOptions::default())
+                .run();
+            let (r, report) = (out.result, out.verify.unwrap());
             assert!(
                 report.is_clean(),
                 "{name}: {} violations",
@@ -241,8 +194,8 @@ mod tests {
     fn scenario_runs_are_deterministic() {
         let c = cfg();
         let spec = ScenarioSpec::named("interfere2", &c).unwrap();
-        let a = run_scenario(Design::FlitBless, &c, &spec, 0.2).unwrap();
-        let b = run_scenario(Design::FlitBless, &c, &spec, 0.2).unwrap();
+        let a = scenario_result(Design::FlitBless, &c, &spec, 0.2).unwrap();
+        let b = scenario_result(Design::FlitBless, &c, &spec, 0.2).unwrap();
         assert_eq!(a.accepted_packets, b.accepted_packets);
         assert_eq!(
             a.avg_packet_latency.to_bits(),

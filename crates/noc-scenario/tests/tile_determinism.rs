@@ -2,24 +2,14 @@
 //! topologies (whose wraparound / concentration links cross tile seams in
 //! ways a plain mesh never produces) and heterogeneous router mixes must
 //! all be byte-identical to the sequential engine.
-//!
-//! One `#[test]` per process-visible knob would race on the
-//! `DXBAR_TILE_THREADS` environment variable, so the whole matrix runs in
-//! a single test function.
 
-use dxbar_noc::Design;
+use dxbar_noc::{Design, Run};
 use noc_core::SimConfig;
-use noc_scenario::{run_scenario, ScenarioSpec};
+use noc_scenario::{ScenarioRun, ScenarioSpec};
 
-fn with_tiles<R>(tiles: usize, f: impl FnOnce() -> R) -> R {
-    std::env::set_var("DXBAR_TILE_THREADS", tiles.to_string());
-    let r = f();
-    std::env::remove_var("DXBAR_TILE_THREADS");
-    r
-}
-
-#[test]
-fn scenario_fabrics_match_sequential_at_every_worker_count() {
+/// `scenario` on a Flit-BLESS base must serialize identically at 0, 1, 2,
+/// 4 and 8 tile workers.
+fn matches_sequential_at_every_worker_count(scenario: &str) {
     let cfg = SimConfig {
         width: 8,
         height: 8,
@@ -29,23 +19,40 @@ fn scenario_fabrics_match_sequential_at_every_worker_count() {
         seed: 21,
         ..SimConfig::default()
     };
-    // torus_ur: wrap links connect opposite seam edges of the tile grid;
-    // cmesh_ur: concentrated mesh re-shapes the node grid entirely;
-    // mixed_islands: DAMQ/MinBD islands inside a bufferless fabric put
-    // different RouterKinds on the two sides of a seam.
-    for scenario in ["torus_ur", "cmesh_ur", "mixed_islands"] {
-        let spec = ScenarioSpec::resolve(scenario, &cfg).expect("known scenario");
-        let run = || {
-            let r = run_scenario(Design::FlitBless, &cfg, &spec, 0.3).expect("scenario runs");
-            serde_json::to_string(&r).expect("serialize RunResult")
-        };
-        let baseline = with_tiles(0, run);
-        for workers in [1usize, 2, 4, 8] {
-            let tiled = with_tiles(workers, run);
-            assert_eq!(
-                tiled, baseline,
-                "{scenario} diverged from sequential at {workers} tile workers"
-            );
-        }
+    let spec = ScenarioSpec::resolve(scenario, &cfg).expect("known scenario");
+    let run = |tiles: usize| {
+        let out = Run::new(Design::FlitBless, &cfg)
+            .tile_threads(tiles)
+            .scenario(spec.clone(), 0.3)
+            .expect("scenario runs")
+            .run();
+        serde_json::to_string(&out.result).expect("serialize RunResult")
+    };
+    let baseline = run(0);
+    for workers in [1usize, 2, 4, 8] {
+        assert_eq!(
+            run(workers),
+            baseline,
+            "{scenario} diverged from sequential at {workers} tile workers"
+        );
     }
+}
+
+/// Wrap links connect opposite seam edges of the tile grid.
+#[test]
+fn torus_matches_sequential_at_every_worker_count() {
+    matches_sequential_at_every_worker_count("torus_ur");
+}
+
+/// The concentrated mesh re-shapes the node grid entirely.
+#[test]
+fn cmesh_matches_sequential_at_every_worker_count() {
+    matches_sequential_at_every_worker_count("cmesh_ur");
+}
+
+/// DAMQ/MinBD islands inside a bufferless fabric put different
+/// RouterKinds on the two sides of a seam.
+#[test]
+fn mixed_islands_match_sequential_at_every_worker_count() {
+    matches_sequential_at_every_worker_count("mixed_islands");
 }

@@ -15,8 +15,7 @@
 //!
 //! # Tile-parallel stepping
 //!
-//! [`Network::set_tile_threads`] (or the `DXBAR_TILE_THREADS` environment
-//! variable, read at construction) shards the node sweep into rectangular
+//! [`Network::set_tile_threads`] shards the node sweep into rectangular
 //! tiles stepped by a persistent worker pool, with a deterministic commit
 //! phase that keeps every observable result **bit-identical** to the
 //! sequential engine — same `RunResult` bytes, same golden replay hashes,
@@ -149,7 +148,7 @@ impl<R: RouterModel> Network<R> {
             in_credits.push(credits);
             neighbors.push(nbrs);
         }
-        let mut net = Network {
+        Network {
             mesh,
             cfg: cfg.clone(),
             routers,
@@ -179,12 +178,7 @@ impl<R: RouterModel> Network<R> {
             occ_scratch: Vec::new(),
             degraded_scratch: Vec::new(),
             action_scratch: Vec::new(),
-        };
-        let tile_req = rayon::tile_threads();
-        if tile_req >= 1 {
-            net.set_tile_threads(tile_req);
         }
-        net
     }
 
     /// Configure the tile-parallel stepping engine: shard the mesh into
@@ -868,8 +862,8 @@ impl<R: RouterModel> Network<R> {
                 let Some(rec) = engine.shards[w].dones.get(engine.cursors[w]) else {
                     continue;
                 };
-                let better = pick
-                    .is_none_or(|p| rec.node < engine.shards[p].dones[engine.cursors[p]].node);
+                let better =
+                    pick.is_none_or(|p| rec.node < engine.shards[p].dones[engine.cursors[p]].node);
                 if better {
                     pick = Some(w);
                 }
@@ -896,8 +890,8 @@ impl<R: RouterModel> Network<R> {
                 let Some(rec) = engine.shards[w].drops.get(engine.cursors[w]) else {
                     continue;
                 };
-                let better = pick
-                    .is_none_or(|p| rec.node < engine.shards[p].drops[engine.cursors[p]].node);
+                let better =
+                    pick.is_none_or(|p| rec.node < engine.shards[p].drops[engine.cursors[p]].node);
                 if better {
                     pick = Some(w);
                 }

@@ -43,8 +43,9 @@ use noc_core::flit::Flit;
 use noc_core::pool::{FlitId, FlitPool};
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_topology::{DelayLine, Mesh, TilePartition};
-use rayon::WorkerPool;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// The tiled engine attached to a `Network` by `set_tile_threads`.
 pub(crate) struct TileEngine {
@@ -325,5 +326,233 @@ pub(crate) fn step_tile<R: RouterModel>(
                 flit,
             });
         }
+    }
+}
+
+/// Type-erased broadcast job: a pointer to the caller's closure plus a
+/// monomorphic trampoline that invokes it with a worker-slot index.
+#[derive(Clone, Copy)]
+struct Job {
+    data: *const (),
+    call: unsafe fn(*const (), usize),
+}
+// SAFETY: the pointer is only dereferenced while `broadcast` blocks on
+// the completion barrier, so the pointee outlives every use.
+unsafe impl Send for Job {}
+
+struct PoolState {
+    /// Bumped once per broadcast; workers run each epoch exactly once.
+    epoch: u64,
+    job: Option<Job>,
+    /// Spawned workers still running the current epoch.
+    remaining: usize,
+    /// Spawned workers whose closure panicked this epoch.
+    panicked: usize,
+    shutdown: bool,
+}
+
+struct PoolShared {
+    state: Mutex<PoolState>,
+    /// Signalled on a new epoch (and on shutdown).
+    work_cv: Condvar,
+    /// Signalled when the last spawned worker finishes an epoch.
+    done_cv: Condvar,
+}
+
+/// The persistent scoped worker pool behind the tiled sweep: threads are
+/// spawned once and parked between cycles, and
+/// [`WorkerPool::broadcast`] runs one closure invocation per worker slot
+/// with the caller participating as slot 0. The call does not return
+/// until every slot finished, so the closure may borrow the caller's
+/// stack (the pool erases the lifetime internally; the completion barrier
+/// restores soundness).
+pub(crate) struct WorkerPool {
+    shared: Arc<PoolShared>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    /// Total worker slots, including the calling thread (slot 0).
+    workers: usize,
+}
+
+impl WorkerPool {
+    /// Pool with `workers` total slots. Slot 0 is the calling thread, so
+    /// `workers - 1` threads are spawned; a one-slot pool spawns nothing
+    /// and [`broadcast`](Self::broadcast) degenerates to a plain call.
+    pub(crate) fn new(workers: usize) -> WorkerPool {
+        let workers = workers.max(1);
+        let shared = Arc::new(PoolShared {
+            state: Mutex::new(PoolState {
+                epoch: 0,
+                job: None,
+                remaining: 0,
+                panicked: 0,
+                shutdown: false,
+            }),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+        });
+        let handles = (1..workers)
+            .map(|slot| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("dxbar-pool-{slot}"))
+                    .spawn(move || worker_loop(&shared, slot))
+                    .expect("spawn pool worker")
+            })
+            .collect();
+        WorkerPool {
+            shared,
+            handles,
+            workers,
+        }
+    }
+
+    /// Run `f(slot)` once per worker slot (`0..workers`), the caller
+    /// executing slot 0, and return only after every slot finished.
+    /// Panics from any slot are re-raised here after the barrier, so
+    /// borrowed data is never touched past its lifetime even on unwind.
+    pub(crate) fn broadcast<F: Fn(usize) + Sync>(&self, f: &F) {
+        if self.workers == 1 {
+            return f(0);
+        }
+        unsafe fn trampoline<F: Fn(usize) + Sync>(data: *const (), slot: usize) {
+            unsafe { (*(data as *const F))(slot) }
+        }
+        {
+            let mut st = self.shared.state.lock().unwrap();
+            assert_eq!(st.remaining, 0, "overlapping broadcast");
+            st.job = Some(Job {
+                data: f as *const F as *const (),
+                call: trampoline::<F>,
+            });
+            st.epoch += 1;
+            st.remaining = self.workers - 1;
+            self.shared.work_cv.notify_all();
+        }
+        let own = catch_unwind(AssertUnwindSafe(|| f(0)));
+        let worker_panicked = {
+            let mut st = self.shared.state.lock().unwrap();
+            while st.remaining > 0 {
+                st = self.shared.done_cv.wait(st).unwrap();
+            }
+            st.job = None;
+            std::mem::take(&mut st.panicked) > 0
+        };
+        if let Err(payload) = own {
+            resume_unwind(payload);
+        }
+        if worker_panicked {
+            panic!("WorkerPool: a worker thread panicked during broadcast");
+        }
+    }
+}
+
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
+        {
+            let mut st = self.shared.state.lock().unwrap();
+            st.shutdown = true;
+            self.shared.work_cv.notify_all();
+        }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+fn worker_loop(shared: &PoolShared, slot: usize) {
+    let mut seen = 0u64;
+    loop {
+        let job = {
+            let mut st = shared.state.lock().unwrap();
+            loop {
+                if st.shutdown {
+                    return;
+                }
+                if st.epoch != seen {
+                    if let Some(job) = st.job {
+                        seen = st.epoch;
+                        break job;
+                    }
+                }
+                st = shared.work_cv.wait(st).unwrap();
+            }
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, slot) }));
+        let mut st = shared.state.lock().unwrap();
+        if result.is_err() {
+            st.panicked += 1;
+        }
+        st.remaining -= 1;
+        if st.remaining == 0 {
+            shared.done_cv.notify_all();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::WorkerPool;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn broadcast_runs_every_slot_exactly_once() {
+        let pool = WorkerPool::new(4);
+        let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+        for _ in 0..50 {
+            pool.broadcast(&|slot| {
+                hits[slot].fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        for h in &hits {
+            assert_eq!(h.load(Ordering::Relaxed), 50);
+        }
+    }
+
+    #[test]
+    fn broadcast_borrows_caller_stack() {
+        // The whole point of the scoped design: workers mutate disjoint
+        // parts of a stack-local buffer through raw-pointer partitioning.
+        struct Cells(*mut u64);
+        unsafe impl Sync for Cells {}
+        impl Cells {
+            unsafe fn set(&self, i: usize, v: u64) {
+                unsafe { *self.0.add(i) = v }
+            }
+        }
+        let pool = WorkerPool::new(3);
+        let mut out = [0u64; 3];
+        let cells = Cells(out.as_mut_ptr());
+        pool.broadcast(&|slot| unsafe { cells.set(slot, slot as u64 + 7) });
+        assert_eq!(out, [7, 8, 9]);
+    }
+
+    #[test]
+    fn single_slot_pool_runs_inline() {
+        let pool = WorkerPool::new(1);
+        let count = AtomicUsize::new(0);
+        pool.broadcast(&|slot| {
+            assert_eq!(slot, 0);
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn worker_panic_propagates_and_pool_survives() {
+        let pool = WorkerPool::new(2);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.broadcast(&|slot| {
+                if slot == 1 {
+                    panic!("boom");
+                }
+            });
+        }));
+        assert!(r.is_err());
+        // The pool is still usable after a propagated panic.
+        let count = AtomicUsize::new(0);
+        pool.broadcast(&|_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 2);
     }
 }

@@ -7,7 +7,7 @@
 //!   [`noc_sim::RunObserver`] checking flit conservation/no-duplication,
 //!   crossbar exclusivity, route legality, FIFO capacity bounds, the
 //!   fairness-counter service guarantee, and a deadlock/livelock watchdog.
-//!   Attach via [`runner::run_verified`], or enable everywhere with the
+//!   Attach with `dxbar_noc::Run::verify`, or enable everywhere with the
 //!   `DXBAR_VERIFY=1` environment variable / `--verify` bench flags.
 //! * **Micro-model-checker** ([`checker`]) — exhaustive state-space
 //!   enumeration over single-router allocator configurations (DXbar's
@@ -22,13 +22,13 @@
 //!   priority logic (silver election, single-step invariants).
 //!
 //! Violations carry structured context ([`violation::Violation`]: cycle,
-//! router, flit ids) and surface as `Err` from the verified runner.
+//! router, flit ids) and come back in the [`VerifyReport`] of every
+//! verified run, clean or not.
 
 pub mod checker;
 pub mod ledger;
 pub mod oracle;
 pub mod profile;
-pub mod runner;
 pub mod violation;
 pub mod zoo;
 
@@ -36,11 +36,11 @@ pub use checker::{CheckError, CheckerReport};
 pub use ledger::FlitLedger;
 pub use oracle::{CheckCounts, Verifier, VerifyOptions, VerifyReport};
 pub use profile::{DesignProfile, RouteRule};
-pub use runner::{run_traced_verified, run_verified, run_verified_with, VerifyError};
 pub use violation::{Violation, ViolationKind};
 
 /// Whether `DXBAR_VERIFY` asks for verified runs ("1" or "true"). The
-/// campaign engine and the CLI bins all share this switch.
+/// binaries and the figure harness read it once at startup and pass the
+/// choice on explicitly.
 pub fn verify_from_env() -> bool {
     std::env::var("DXBAR_VERIFY")
         .map(|v| {

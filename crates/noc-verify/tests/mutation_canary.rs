@@ -3,10 +3,10 @@
 //! switched off must run clean (so a failure is attributable to the bug,
 //! not to the vehicle).
 
+use dxbar_noc::{Design, Engine, Run, RunOutput, Workload};
 use noc_core::flit::{Flit, PacketId};
 use noc_core::types::{Direction, NodeId, LINK_DIRECTIONS};
 use noc_core::SimConfig;
-use noc_power::energy::EnergyModel;
 use noc_routing::Algorithm;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::runner::RunMode;
@@ -14,7 +14,7 @@ use noc_sim::Network;
 use noc_topology::Mesh;
 use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
-use noc_verify::{run_verified, ViolationKind};
+use noc_verify::{VerifyOptions, ViolationKind};
 
 /// Which deliberate bug the rogue router injects (once per router).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,27 +177,41 @@ fn run_with_bug(bug: Bug) -> Result<(), Vec<ViolationKind>> {
     run_on(bug, noc_topology::Topology::Mesh)
 }
 
+/// A network of rogue routers with `bug` armed, under light uniform load.
+struct Rogue(Bug);
+
+impl Workload for Rogue {
+    fn drive(&self, engine: Engine<'_>) -> RunOutput {
+        let cfg = engine.config();
+        let mesh = Mesh::for_config(cfg);
+        let bug = self.0;
+        let mut net = Network::new(cfg, &move |node| {
+            Box::new(RogueRouter {
+                node,
+                mesh,
+                held: Vec::new(),
+                bug,
+                fired: false,
+            }) as Box<dyn RouterModel>
+        });
+        let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
+        engine.run(&mut net, &mut model, RunMode::OpenLoop)
+    }
+}
+
 fn run_on(bug: Bug, topology: noc_topology::Topology) -> Result<(), Vec<ViolationKind>> {
     let cfg = SimConfig { topology, ..cfg() };
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = Network::new(&cfg, &move |node| {
-        Box::new(RogueRouter {
-            node,
-            mesh,
-            held: Vec::new(),
-            bug,
-            fired: false,
-        }) as Box<dyn RouterModel>
-    });
-    let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
-    match run_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    ) {
-        Ok(_) => Ok(()),
-        Err(e) => Err(e.report.violations.iter().map(|v| v.kind).collect()),
+    // The rogue router reports itself as DXbar DOR, so that design's
+    // oracle profile applies.
+    let out = Run::new(Design::DXbarDor, &cfg)
+        .workload(Rogue(bug))
+        .verify(VerifyOptions::default())
+        .run();
+    let report = out.verify.expect("verified run");
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(report.violations.iter().map(|v| v.kind).collect())
     }
 }
 

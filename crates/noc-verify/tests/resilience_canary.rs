@@ -5,10 +5,10 @@
 //! under heavy transient faults must stay clean, so a failure is
 //! attributable to the injected bug, not to fault injection itself.
 
+use dxbar_noc::{Design, Engine, Run, RunOutput, Workload};
 use noc_core::flit::Flit;
 use noc_core::types::{Direction, NodeId, LINK_DIRECTIONS};
 use noc_core::SimConfig;
-use noc_power::energy::EnergyModel;
 use noc_resilience::{ResiliencePlan, TransientSpec};
 use noc_routing::Algorithm;
 use noc_sim::router::{RouterModel, StepCtx};
@@ -17,7 +17,7 @@ use noc_sim::Network;
 use noc_topology::Mesh;
 use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
-use noc_verify::{run_verified, ViolationKind};
+use noc_verify::{VerifyOptions, ViolationKind};
 
 /// Age-priority DOR router with unlimited loser buffering (the engine-test
 /// vehicle shape). With `vanish_one` set it swallows exactly one in-transit
@@ -102,36 +102,48 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// A network of vehicles (one of which vanishes a flit when
+/// `vanish_one` is set) under light uniform load.
+struct Vehicles {
+    vanish_one: bool,
+}
+
+impl Workload for Vehicles {
+    fn drive(&self, engine: Engine<'_>) -> RunOutput {
+        let cfg = engine.config();
+        let mesh = Mesh::new(cfg.width, cfg.height);
+        let vanish_one = self.vanish_one;
+        let mut net = Network::new(cfg, &move |node| {
+            Box::new(Vehicle {
+                node,
+                mesh,
+                held: Vec::new(),
+                vanish_one,
+                fired: false,
+            }) as Box<dyn RouterModel>
+        });
+        let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
+        engine.run(&mut net, &mut model, RunMode::OpenLoop)
+    }
+}
+
 fn run_resilient(vanish_one: bool) -> Result<(), Vec<ViolationKind>> {
     let cfg = cfg();
-    let mesh = Mesh::new(cfg.width, cfg.height);
-    let mut net = Network::new(&cfg, &move |node| {
-        Box::new(Vehicle {
-            node,
-            mesh,
-            held: Vec::new(),
-            vanish_one,
-            fired: false,
-        }) as Box<dyn RouterModel>
-    });
-    net.set_resilience(ResiliencePlan::none().with_transients(TransientSpec::new(1e-3, 23)));
-    let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
-    match run_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    ) {
-        Ok((_, report)) => {
-            let (transit_lost, crc_bounced, _) = report.recovery_counts;
-            assert!(
-                transit_lost + crc_bounced > 0,
-                "transient rate high enough that the oracle must see faults"
-            );
-            Ok(())
-        }
-        Err(e) => Err(e.report.violations.iter().map(|v| v.kind).collect()),
+    let out = Run::new(Design::DXbarDor, &cfg)
+        .workload(Vehicles { vanish_one })
+        .resilience(ResiliencePlan::none().with_transients(TransientSpec::new(1e-3, 23)))
+        .verify(VerifyOptions::default())
+        .run();
+    let report = out.verify.expect("verified run");
+    if !report.is_clean() {
+        return Err(report.violations.iter().map(|v| v.kind).collect());
     }
+    let (transit_lost, crc_bounced, _) = report.recovery_counts;
+    assert!(
+        transit_lost + crc_bounced > 0,
+        "transient rate high enough that the oracle must see faults"
+    );
+    Ok(())
 }
 
 #[test]

@@ -14,7 +14,7 @@
 use dxbar_noc::noc_faults::FaultPlan;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic_with_faults, Design, SimConfig};
+use dxbar_noc::{Design, Run, SimConfig};
 
 fn main() {
     let cfg = SimConfig {
@@ -40,7 +40,11 @@ fn main() {
                 cfg.warmup_cycles,
                 cfg.seed,
             );
-            let r = run_synthetic_with_faults(design, &cfg, Pattern::UniformRandom, load, &plan);
+            let r = Run::new(design, &cfg)
+                .synthetic(Pattern::UniformRandom, load)
+                .faults(&plan)
+                .run()
+                .result;
             println!(
                 "{:<10} {:>6}% {:>10.3} {:>12.1} {:>14.2}",
                 design.name(),

@@ -11,7 +11,7 @@
 //! ```
 
 use dxbar_noc::noc_traffic::splash::SplashApp;
-use dxbar_noc::{run_splash, Design, SimConfig};
+use dxbar_noc::{Design, Run, SimConfig};
 
 fn main() {
     let cfg = SimConfig::default();
@@ -36,12 +36,13 @@ fn main() {
         SplashApp::Water,
         SplashApp::Radix,
     ] {
-        let base = run_splash(Design::Buffered4, &cfg, app, max_cycles);
+        let splash = |d| Run::new(d, &cfg).splash(app, max_cycles).run().result;
+        let base = splash(Design::Buffered4);
         let base_time = base.finish_cycle.expect("baseline must finish") as f64;
         print!("{:<11}", app.name());
         let mut energies = Vec::new();
         for d in designs {
-            let r = run_splash(d, &cfg, app, max_cycles);
+            let r = splash(d);
             let t = r.finish_cycle.map(|c| c as f64 / base_time);
             match t {
                 Some(t) => print!(" {:>11.3}", t),

@@ -14,10 +14,8 @@ use dxbar_noc::noc_faults::FaultPlan;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::SplashApp;
-use dxbar_noc::{
-    run_splash, run_splash_verified, run_synthetic_verified, run_synthetic_with_faults, Design,
-    RunResult, SimConfig,
-};
+use dxbar_noc::noc_verify::VerifyOptions;
+use dxbar_noc::{Design, Run, RunResult, SimConfig};
 
 const HELP: &str = "\
 dxbar-sim — cycle-accurate NoC simulation of the DXbar paper's designs
@@ -39,7 +37,8 @@ OPTIONS:
     --warmup <N>        warmup cycles (default: 10000)
     --seed <N>          PRNG seed (default: paper seed)
     --faults <PERCENT>  fraction of routers with one broken crossbar
-                        (DXbar designs only; default: 0)
+                        (DXbar designs and synthetic patterns only;
+                        default: 0)
     --tile-threads <N>  tile-parallel stepping workers inside the simulation
                         (0 = sequential engine; results are bit-identical at
                         any setting; also via DXBAR_TILE_THREADS)
@@ -87,6 +86,7 @@ struct Args {
     load: f64,
     cfg: SimConfig,
     fault_pct: f64,
+    tile_threads: Option<usize>,
     json: bool,
     verify: bool,
 }
@@ -99,6 +99,7 @@ fn parse_args() -> Args {
         load: 0.4,
         cfg: SimConfig::default(),
         fault_pct: 0.0,
+        tile_threads: None,
         json: false,
         verify: dxbar_noc::noc_verify::verify_from_env(),
     };
@@ -202,12 +203,11 @@ fn parse_args() -> Args {
             }
             "--tile-threads" => {
                 let v = value("--tile-threads");
-                let n: usize = v.parse().unwrap_or_else(|_| {
+                args.tile_threads = Some(v.parse().unwrap_or_else(|_| {
                     fail(&format!(
                         "bad --tile-threads '{v}' (want a worker count, e.g. 0 2 4 8)"
                     ))
-                });
-                std::env::set_var("DXBAR_TILE_THREADS", n.to_string());
+                }));
             }
             "--json" => args.json = true,
             "--verify" => args.verify = true,
@@ -217,15 +217,18 @@ fn parse_args() -> Args {
     if let Err(e) = args.cfg.validate() {
         fail(&e);
     }
-    if let Ok(v) = std::env::var("DXBAR_TILE_THREADS") {
-        if v.trim().parse::<usize>().is_err() {
+    if let (None, Ok(v)) = (args.tile_threads, std::env::var("DXBAR_TILE_THREADS")) {
+        args.tile_threads = Some(v.trim().parse().unwrap_or_else(|_| {
             fail(&format!(
                 "bad DXBAR_TILE_THREADS '{v}' (want a worker count, e.g. 0 2 4 8)"
-            ));
-        }
+            ))
+        }));
     }
     if args.fault_pct > 0.0 && !args.design.supports_faults() {
         fail("--faults is only meaningful for dxbar-dor / dxbar-wf (as in the paper)");
+    }
+    if args.fault_pct > 0.0 && args.splash.is_some() {
+        fail("--faults applies to synthetic patterns only, not --splash workloads");
     }
     args
 }
@@ -271,50 +274,37 @@ fn print_human(r: &RunResult) {
 fn main() {
     let args = parse_args();
     let mesh = Mesh::for_config(&args.cfg);
-    let plan = if args.fault_pct > 0.0 {
-        FaultPlan::generate(
-            &mesh,
-            args.fault_pct,
-            args.cfg.warmup_cycles / 2,
-            args.cfg.warmup_cycles.max(1),
-            args.cfg.seed,
-        )
-    } else {
-        FaultPlan::none(&mesh)
-    };
+    let plan = FaultPlan::generate(
+        &mesh,
+        args.fault_pct,
+        args.cfg.warmup_cycles / 2,
+        args.cfg.warmup_cycles.max(1),
+        args.cfg.seed,
+    );
 
-    let (result, violated) = if args.verify {
-        let outcome = if let Some(app) = args.splash {
-            run_splash_verified(args.design, &args.cfg, app, 10_000_000)
-        } else {
-            run_synthetic_verified(args.design, &args.cfg, args.pattern, args.load, &plan)
-        };
-        match outcome {
-            Ok((result, report)) => {
-                eprintln!("verification: clean ({})", report.summary());
-                (result, false)
-            }
-            Err(e) => {
-                eprintln!("verification FAILED: {e}");
-                (e.result, true)
-            }
-        }
-    } else if let Some(app) = args.splash {
-        (run_splash(args.design, &args.cfg, app, 10_000_000), false)
-    } else {
-        (
-            run_synthetic_with_faults(args.design, &args.cfg, args.pattern, args.load, &plan),
-            false,
-        )
+    let run = Run::new(args.design, &args.cfg).tile_threads(args.tile_threads.unwrap_or(0));
+    let mut run = match args.splash {
+        Some(app) => run.splash(app, 10_000_000),
+        None => run.synthetic(args.pattern, args.load).faults(&plan),
     };
+    if args.verify {
+        run = run.verify(VerifyOptions::default());
+    }
+    let out = run.run();
+    let violated = out.verify.as_ref().is_some_and(|r| !r.is_clean());
+    match &out.verify {
+        Some(report) if violated => eprintln!("verification FAILED: {}", report.summary()),
+        Some(report) => eprintln!("verification: clean ({})", report.summary()),
+        None => {}
+    }
 
     if args.json {
         println!(
             "{}",
-            serde_json::to_string_pretty(&result).expect("serialize result")
+            serde_json::to_string_pretty(&out.result).expect("serialize result")
         );
     } else {
-        print_human(&result);
+        print_human(&out.result);
     }
     if violated {
         std::process::exit(1);

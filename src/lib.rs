@@ -10,7 +10,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use dxbar_noc::{Design, SimConfig, run_synthetic};
+//! use dxbar_noc::{Design, Run, SimConfig};
 //! use dxbar_noc::noc_traffic::patterns::Pattern;
 //!
 //! let cfg = SimConfig {
@@ -20,24 +20,26 @@
 //!     ..SimConfig::default()
 //! };
 //! // Offered load = 0.3 of network capacity, uniform random traffic.
-//! let result = run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.3);
-//! assert!(result.accepted_fraction > 0.2);
+//! let out = Run::new(Design::DXbarDor, &cfg)
+//!     .synthetic(Pattern::UniformRandom, 0.3)
+//!     .run();
+//! assert!(out.result.accepted_fraction > 0.2);
 //! ```
 //!
-//! See `examples/` for larger scenarios and `crates/bench` for the
-//! regenerators of every table and figure in the paper.
+//! [`Run`] is the one run entry point: SPLASH-2 workloads, fault plans,
+//! resilience, tracing, runtime verification and tile workers are all
+//! options on it. See `examples/` for larger scenarios and `crates/bench`
+//! for the regenerators of every table and figure in the paper.
 
 pub mod designs;
 pub mod kind;
+pub mod run;
 
-pub use designs::{
-    run_splash, run_splash_verified, run_synthetic, run_synthetic_resilient,
-    run_synthetic_resilient_verified, run_synthetic_traced, run_synthetic_traced_verified,
-    run_synthetic_verified, run_synthetic_with_faults, Design,
-};
+pub use designs::Design;
 pub use kind::RouterKind;
 pub use noc_core::SimConfig;
 pub use noc_sim::{Network, RunResult};
+pub use run::{Engine, Run, RunOutput, Workload};
 
 // Re-export the component crates under stable names.
 pub use dxbar;

@@ -64,6 +64,22 @@ fn faults_on_unsupported_design_is_an_error() {
 }
 
 #[test]
+fn faults_with_splash_exits_2() {
+    // SPLASH runs are closed-loop and fault-free; the fault plan must not
+    // be dropped silently.
+    let out = dxbar_sim()
+        .args(["--splash", "fft", "--faults", "50"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--faults applies to synthetic"),
+        "stderr: {err}"
+    );
+}
+
+#[test]
 fn unknown_flag_fails_with_help() {
     let out = dxbar_sim().args(["--bogus"]).output().expect("binary runs");
     assert!(!out.status.success());

@@ -9,7 +9,7 @@ use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::generator::SyntheticTraffic;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::trace::{Trace, TraceReplay};
-use dxbar_noc::{run_synthetic_with_faults, Design, SimConfig};
+use dxbar_noc::{Design, Run, RunResult, SimConfig};
 
 #[test]
 fn full_fault_coverage_still_delivers_everything() {
@@ -111,29 +111,17 @@ fn dor_degrades_gracefully_wf_suffers_more() {
         cfg.seed,
     );
 
-    let dor_ok = run_synthetic_with_faults(
-        Design::DXbarDor,
-        &cfg,
-        Pattern::UniformRandom,
-        load,
-        &healthy,
-    );
-    let dor_bad = run_synthetic_with_faults(
-        Design::DXbarDor,
-        &cfg,
-        Pattern::UniformRandom,
-        load,
-        &faulty,
-    );
-    let wf_ok = run_synthetic_with_faults(
-        Design::DXbarWf,
-        &cfg,
-        Pattern::UniformRandom,
-        load,
-        &healthy,
-    );
-    let wf_bad =
-        run_synthetic_with_faults(Design::DXbarWf, &cfg, Pattern::UniformRandom, load, &faulty);
+    let run = |design, plan| -> RunResult {
+        Run::new(design, &cfg)
+            .synthetic(Pattern::UniformRandom, load)
+            .faults(plan)
+            .run()
+            .result
+    };
+    let dor_ok = run(Design::DXbarDor, &healthy);
+    let dor_bad = run(Design::DXbarDor, &faulty);
+    let wf_ok = run(Design::DXbarWf, &healthy);
+    let wf_bad = run(Design::DXbarWf, &faulty);
 
     let dor_drop = 1.0 - dor_bad.accepted_fraction / dor_ok.accepted_fraction;
     let wf_drop = 1.0 - wf_bad.accepted_fraction / wf_ok.accepted_fraction;
@@ -168,20 +156,15 @@ fn fault_free_plan_changes_nothing() {
         ..SimConfig::default()
     };
     let mesh = Mesh::new(cfg.width, cfg.height);
-    let a = run_synthetic_with_faults(
-        Design::DXbarDor,
-        &cfg,
-        Pattern::UniformRandom,
-        0.2,
-        &FaultPlan::none(&mesh),
-    );
-    let b = run_synthetic_with_faults(
-        Design::DXbarDor,
-        &cfg,
-        Pattern::UniformRandom,
-        0.2,
-        &FaultPlan::generate(&mesh, 0.0, 0, 1, 99),
-    );
+    let run = |plan: &FaultPlan| {
+        Run::new(Design::DXbarDor, &cfg)
+            .synthetic(Pattern::UniformRandom, 0.2)
+            .faults(plan)
+            .run()
+            .result
+    };
+    let a = run(&FaultPlan::none(&mesh));
+    let b = run(&FaultPlan::generate(&mesh, 0.0, 0, 1, 99));
     assert_eq!(a.accepted_packets, b.accepted_packets);
     assert_eq!(
         a.stats.events.link_traversals,

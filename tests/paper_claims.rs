@@ -3,7 +3,7 @@
 //! `crates/bench`).
 
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic, Design, RunResult, SimConfig};
+use dxbar_noc::{Design, Run, RunResult, SimConfig};
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -15,7 +15,11 @@ fn cfg() -> SimConfig {
 }
 
 fn at(design: Design, load: f64) -> RunResult {
-    run_synthetic(design, &cfg(), Pattern::UniformRandom, load)
+    run(design, &cfg(), Pattern::UniformRandom, load)
+}
+
+fn run(design: Design, cfg: &SimConfig, pattern: Pattern, load: f64) -> RunResult {
+    Run::new(design, cfg).synthetic(pattern, load).run().result
 }
 
 /// Saturation throughput: run well past every design's saturation point and
@@ -170,8 +174,8 @@ fn wf_beats_dor_on_adaptive_friendly_patterns() {
         Pattern::PerfectShuffle,
         Pattern::Butterfly,
     ] {
-        let wf = run_synthetic(Design::DXbarWf, &c, pattern, 0.35).accepted_fraction;
-        let dor = run_synthetic(Design::DXbarDor, &c, pattern, 0.35).accepted_fraction;
+        let wf = run(Design::DXbarWf, &c, pattern, 0.35).accepted_fraction;
+        let dor = run(Design::DXbarDor, &c, pattern, 0.35).accepted_fraction;
         assert!(
             wf > dor,
             "{}: WF {wf:.3} should beat DOR {dor:.3}",
@@ -189,8 +193,8 @@ fn dor_wins_on_uniform_and_tornado() {
         Pattern::Tornado,
         Pattern::Complement,
     ] {
-        let wf = run_synthetic(Design::DXbarWf, &c, pattern, 0.35).accepted_fraction;
-        let dor = run_synthetic(Design::DXbarDor, &c, pattern, 0.35).accepted_fraction;
+        let wf = run(Design::DXbarWf, &c, pattern, 0.35).accepted_fraction;
+        let dor = run(Design::DXbarDor, &c, pattern, 0.35).accepted_fraction;
         assert!(
             dor >= wf * 0.99,
             "{}: DOR {dor:.3} should not lose to WF {wf:.3}",

@@ -174,8 +174,13 @@ proptest! {
             seed,
             ..SimConfig::default()
         };
-        let lo = dxbar_noc::run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.05);
-        let hi = dxbar_noc::run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.25);
+        let run = |load| {
+            dxbar_noc::Run::new(Design::DXbarDor, &cfg)
+                .synthetic(Pattern::UniformRandom, load)
+                .run()
+                .result
+        };
+        let (lo, hi) = (run(0.05), run(0.25));
         prop_assert!(hi.energy.total_pj() > lo.energy.total_pj());
         for r in [&lo, &hi] {
             let sum = r.energy.crossbar_pj + r.energy.link_pj + r.energy.buffer_pj + r.energy.nack_pj;

@@ -22,10 +22,9 @@
 //! process-wide environment variable.
 
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic, Design, SimConfig};
+use dxbar_noc::{Design, Run, SimConfig};
 
 fn dxbar_json(tiles: usize, canary: bool) -> String {
-    std::env::set_var("DXBAR_TILE_THREADS", tiles.to_string());
     if canary {
         std::env::set_var("DXBAR_TILE_CANARY", "1");
     }
@@ -38,8 +37,11 @@ fn dxbar_json(tiles: usize, canary: bool) -> String {
         seed: 13,
         ..SimConfig::default()
     };
-    let r = run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.6);
-    std::env::remove_var("DXBAR_TILE_THREADS");
+    let r = Run::new(Design::DXbarDor, &cfg)
+        .synthetic(Pattern::UniformRandom, 0.6)
+        .tile_threads(tiles)
+        .run()
+        .result;
     std::env::remove_var("DXBAR_TILE_CANARY");
     serde_json::to_string(&r).expect("serialize RunResult")
 }

@@ -1,14 +1,9 @@
 //! Tile-parallel stepping must be invisible in the results: for every
 //! router design and every worker count, the tiled engine's `RunResult`
 //! must be **byte-identical** (same serialized JSON) to the sequential
-//! engine's. This is the contract that lets sweeps enable
-//! `DXBAR_TILE_THREADS` freely — it is a throughput knob, never a model
-//! change, and deliberately not part of the campaign cache key.
-//!
-//! The whole matrix lives in one `#[test]` because worker counts are
-//! selected through the process-wide `DXBAR_TILE_THREADS` variable
-//! (mirroring how users select them); parallel test functions in this
-//! binary would race on it.
+//! engine's. This is the contract that lets sweeps enable tile workers
+//! freely — they are a throughput knob, never a model change, and
+//! deliberately not part of the campaign cache key.
 
 use dxbar_noc::noc_faults::FaultPlan;
 use dxbar_noc::noc_power::energy::EnergyModel;
@@ -16,18 +11,19 @@ use dxbar_noc::noc_sim::runner::{run, RunMode};
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::{AppParams, SplashApp, SplashTraffic};
-use dxbar_noc::{run_synthetic, Design, RunResult, SimConfig};
-
-/// Run with `DXBAR_TILE_THREADS` pinned to `tiles` for the duration.
-fn with_tiles<R>(tiles: usize, f: impl FnOnce() -> R) -> R {
-    std::env::set_var("DXBAR_TILE_THREADS", tiles.to_string());
-    let r = f();
-    std::env::remove_var("DXBAR_TILE_THREADS");
-    r
-}
+use dxbar_noc::{Design, Run, RunResult, SimConfig};
 
 fn json(r: &RunResult) -> String {
     serde_json::to_string(r).expect("serialize RunResult")
+}
+
+/// The serialized result of a synthetic run stepped by `tiles` workers.
+fn synthetic(design: Design, cfg: &SimConfig, pattern: Pattern, load: f64, tiles: usize) -> String {
+    let out = Run::new(design, cfg)
+        .synthetic(pattern, load)
+        .tile_threads(tiles)
+        .run();
+    json(&out.result)
 }
 
 #[test]
@@ -48,13 +44,9 @@ fn every_design_every_worker_count_matches_sequential() {
         // Moderate load: enough traffic for deflections, drops and
         // buffering on every design without saturating the slow ones.
         let load = 0.3;
-        let baseline = with_tiles(0, || {
-            json(&run_synthetic(design, &cfg, Pattern::MatrixTranspose, load))
-        });
+        let baseline = synthetic(design, &cfg, Pattern::MatrixTranspose, load, 0);
         for workers in [1usize, 2, 4, 8] {
-            let tiled = with_tiles(workers, || {
-                json(&run_synthetic(design, &cfg, Pattern::MatrixTranspose, load))
-            });
+            let tiled = synthetic(design, &cfg, Pattern::MatrixTranspose, load, workers);
             assert_eq!(
                 tiled,
                 baseline,
@@ -79,23 +71,9 @@ fn scarab_under_heavy_drops_matches_sequential() {
         seed: 99,
         ..SimConfig::default()
     };
-    let baseline = with_tiles(0, || {
-        json(&run_synthetic(
-            Design::Scarab,
-            &cfg,
-            Pattern::UniformRandom,
-            0.6,
-        ))
-    });
+    let baseline = synthetic(Design::Scarab, &cfg, Pattern::UniformRandom, 0.6, 0);
     for workers in [2usize, 4] {
-        let tiled = with_tiles(workers, || {
-            json(&run_synthetic(
-                Design::Scarab,
-                &cfg,
-                Pattern::UniformRandom,
-                0.6,
-            ))
-        });
+        let tiled = synthetic(Design::Scarab, &cfg, Pattern::UniformRandom, 0.6, workers);
         assert_eq!(tiled, baseline, "scarab diverged at {workers} workers");
     }
 }
@@ -119,9 +97,10 @@ fn closed_loop_splash_matches_sequential() {
         txns_per_core: 30,
         burst_len: 4,
     };
-    let splash = |design: Design| {
+    let splash = |design: Design, workers: usize| {
         let mesh = Mesh::new(cfg.width, cfg.height);
         let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
+        net.set_tile_threads(workers);
         let mut model = SplashTraffic::with_params(SplashApp::Fft, params, mesh, cfg.seed);
         json(&run(
             &mut net,
@@ -133,9 +112,9 @@ fn closed_loop_splash_matches_sequential() {
         ))
     };
     for design in [Design::DXbarDor, Design::Scarab] {
-        let baseline = with_tiles(0, || splash(design));
+        let baseline = splash(design, 0);
         for workers in [2usize, 4] {
-            let tiled = with_tiles(workers, || splash(design));
+            let tiled = splash(design, workers);
             assert_eq!(
                 tiled,
                 baseline,

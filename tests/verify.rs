@@ -7,7 +7,8 @@
 //! cycles, all designs x {0.1, 0.5} load x {0 %, 50 %} faults — run by the
 //! CI verify-smoke job with `--release`.
 
-use dxbar_noc::{run_synthetic_verified, Design, SimConfig};
+use dxbar_noc::noc_verify::{VerifyOptions, VerifyReport};
+use dxbar_noc::{Design, Run, RunResult, SimConfig};
 use noc_faults::FaultPlan;
 use noc_topology::Mesh;
 use noc_traffic::patterns::Pattern;
@@ -23,30 +24,43 @@ fn quick_cfg() -> SimConfig {
     }
 }
 
+fn checked_run(
+    design: Design,
+    cfg: &SimConfig,
+    pattern: Pattern,
+    load: f64,
+    faults: &FaultPlan,
+) -> (RunResult, VerifyReport) {
+    let out = Run::new(design, cfg)
+        .synthetic(pattern, load)
+        .faults(faults)
+        .verify(VerifyOptions::default())
+        .run();
+    (out.result, out.verify.expect("verified run"))
+}
+
 fn verify_point(design: Design, cfg: &SimConfig, load: f64, faults: &FaultPlan) {
-    match run_synthetic_verified(design, cfg, Pattern::UniformRandom, load, faults) {
-        Ok((result, report)) => {
-            assert!(report.is_clean());
-            assert!(
-                report.checks.cycles >= cfg.total_cycles(),
-                "{}: verifier observed {} of {} cycles",
-                design.name(),
-                report.checks.cycles,
-                cfg.total_cycles()
-            );
-            assert!(
-                report.checks.conservation > 0,
-                "{}: conservation oracle never engaged",
-                design.name()
-            );
-            assert!(result.accepted_fraction > 0.0, "{}", design.name());
-        }
-        Err(e) => panic!(
-            "{} at load {load} with {} fault(s): {e}",
-            design.name(),
-            faults.count()
-        ),
-    }
+    let (result, report) = checked_run(design, cfg, Pattern::UniformRandom, load, faults);
+    assert!(
+        report.is_clean(),
+        "{} at load {load} with {} fault(s): {}",
+        design.name(),
+        faults.count(),
+        report.summary()
+    );
+    assert!(
+        report.checks.cycles >= cfg.total_cycles(),
+        "{}: verifier observed {} of {} cycles",
+        design.name(),
+        report.checks.cycles,
+        cfg.total_cycles()
+    );
+    assert!(
+        report.checks.conservation > 0,
+        "{}: conservation oracle never engaged",
+        design.name()
+    );
+    assert!(result.accepted_fraction > 0.0, "{}", design.name());
 }
 
 #[test]
@@ -92,9 +106,12 @@ fn verified_run_matches_unverified_result() {
     let cfg = quick_cfg();
     let none = FaultPlan::none(&Mesh::new(4, 4));
     for d in [Design::DXbarDor, Design::UnifiedWf, Design::Buffered4] {
-        let plain = dxbar_noc::run_synthetic(d, &cfg, Pattern::MatrixTranspose, 0.4);
-        let (verified, _) =
-            run_synthetic_verified(d, &cfg, Pattern::MatrixTranspose, 0.4, &none).unwrap();
+        let plain = Run::new(d, &cfg)
+            .synthetic(Pattern::MatrixTranspose, 0.4)
+            .run()
+            .result;
+        let (verified, report) = checked_run(d, &cfg, Pattern::MatrixTranspose, 0.4, &none);
+        assert!(report.is_clean(), "{}", d.name());
         assert_eq!(
             plain.accepted_packets,
             verified.accepted_packets,
