@@ -56,7 +56,7 @@ struct ScalingRow {
     design: String,
     width: u16,
     height: u16,
-    /// Tile workers; 0 is the sequential engine (no tile partition at all).
+    /// Tile workers; 0 is the single inline tile.
     tile_workers: usize,
     cycles: u64,
     elapsed_s: f64,
@@ -153,7 +153,11 @@ fn parse_args() -> Args {
     let mut args = Args {
         out: PathBuf::from("BENCH_6.json"),
         designs: Vec::new(),
-        sizes: if quick { vec![16, 32] } else { vec![32, 64, 128] },
+        sizes: if quick {
+            vec![16, 32]
+        } else {
+            vec![32, 64, 128]
+        },
         workers: vec![0, 1, 2, 4, 8],
         cycles: if quick { 500 } else { 2_000 },
         allocator_baseline: None,
@@ -169,7 +173,8 @@ fn parse_args() -> Args {
             "--design" => {
                 let v = value("--design");
                 args.designs.push(
-                    design_for_key(&v).unwrap_or_else(|| usage(&format!("unknown design key {v:?}"))),
+                    design_for_key(&v)
+                        .unwrap_or_else(|| usage(&format!("unknown design key {v:?}"))),
                 );
             }
             "--sizes" => {
@@ -279,17 +284,18 @@ fn main() {
         load,
         cycles: if bench::quick_mode() { 4_000 } else { 40_000 },
     };
-    let mut allocator: Vec<perf::PerfResult> = [Design::UnifiedDor, Design::UnifiedWf, Design::DXbarDor]
-        .into_iter()
-        .map(|d| {
-            let r = perf::measure(d, &allocator_workload);
-            eprintln!(
-                "allocator {:<12} {:>12.0} cycles/s",
-                r.design, r.cycles_per_sec
-            );
-            r
-        })
-        .collect();
+    let mut allocator: Vec<perf::PerfResult> =
+        [Design::UnifiedDor, Design::UnifiedWf, Design::DXbarDor]
+            .into_iter()
+            .map(|d| {
+                let r = perf::measure(d, &allocator_workload);
+                eprintln!(
+                    "allocator {:<12} {:>12.0} cycles/s",
+                    r.design, r.cycles_per_sec
+                );
+                r
+            })
+            .collect();
     if let Some(path) = &args.allocator_baseline {
         for (design, cps) in baseline_numbers(path) {
             if let Some(r) = allocator.iter_mut().find(|r| r.design == design) {

@@ -43,7 +43,12 @@ fn run_once(design: Design, cfg: &SimConfig, load: f64, workers: usize) -> Strin
         cfg.packet_len,
         cfg.seed,
     );
-    let result = run(&mut net, &mut model, RunMode::OpenLoop, &EnergyModel::default());
+    let result = run(
+        &mut net,
+        &mut model,
+        RunMode::OpenLoop,
+        &EnergyModel::default(),
+    );
     serde_json::to_string_pretty(&result).expect("serialize RunResult")
 }
 
@@ -72,7 +77,8 @@ fn main() {
             "--design" => {
                 let v = value("--design");
                 designs.push(
-                    design_for_key(&v).unwrap_or_else(|| usage(&format!("unknown design key {v:?}"))),
+                    design_for_key(&v)
+                        .unwrap_or_else(|| usage(&format!("unknown design key {v:?}"))),
                 );
             }
             "--cycles" => {

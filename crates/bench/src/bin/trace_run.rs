@@ -26,12 +26,10 @@
 //!   (default 0);
 //! * `--stride N`     — cycles between time-series samples (default 1);
 //! * `--top N`        — slowest-packet table length (default 10);
-//! * `--tile-threads N` — tile-parallel stepping workers (also via
-//!   `DXBAR_TILE_THREADS`); accepted and validated for CLI parity with
-//!   `dxbar-sim`/`campaign_run` and passed to the run, but traced runs
-//!   always step sequentially — the per-flit event stream is an observer
-//!   the tiled sweep does not drive (results are bit-identical either
-//!   way).
+//! * `--tile-threads N` — tile count (also via `DXBAR_TILE_THREADS`). A
+//!   traced run lays its nodes out in that many tiles but steps them in
+//!   row-major order on one thread, so the event stream and the results
+//!   are the same at every setting.
 //!
 //! `DXBAR_QUICK=1` shrinks the simulated windows as for the figure bins.
 

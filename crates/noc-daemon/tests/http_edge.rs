@@ -317,6 +317,14 @@ fn responses_carry_json_errors_not_panics() {
         .unwrap()
         .is_empty());
 
+    // 100 KB of `[`, far under the 1 MiB body cap: an unbounded recursive
+    // JSON parser overflows the connection thread's stack and aborts the
+    // daemon.
+    let (status, body) = request(addr, "POST", "/jobs", Some(&"[".repeat(100_000)));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nested deeper"), "{body}");
+    assert_eq!(request(addr, "GET", "/healthz", None).0, 200);
+
     // Every error body is the standard JSON shape.
     let (_, body) = request(addr, "GET", "/jobs/999", None);
     let v = serde_json::parse(&body).expect("error body is JSON");

@@ -21,8 +21,11 @@
 //! Router micro-architectures live in `noc-baseline` and `dxbar`; they
 //! implement [`router::RouterModel`].
 
+#![deny(unsafe_code)]
+
 pub mod diagnostics;
 pub mod network;
+pub(crate) mod pool;
 pub mod reassembly;
 pub mod report;
 pub mod resilience;

@@ -1,45 +1,40 @@
 //! The network: routers + links + injection queues + ejection/reassembly +
 //! SCARAB drop/NACK bookkeeping.
 //!
-//! # Hot-path storage
+//! Per-node state lives in [`Tile`]s (see [`crate::tiles`]). A cycle is
+//! the node sweep, which calls [`step_node`] once per node, then one
+//! commit phase that replays seam sends, statistics, packet completions
+//! and drops in the order a row-major sweep produces them.
+//! [`Network::set_tile_threads`] only changes how many tiles there are; `0`
+//! is one tile stepped inline. Results are **bit-identical** at every tile
+//! count: same `RunResult` bytes, golden hashes and verifier outcomes.
 //!
-//! Every flit parked inside the engine — waiting in a source queue or
-//! flying on a link delay line — lives in a slab [`FlitPool`] (one per
-//! tile shard; a single pool when running sequentially); the queues and
-//! channels themselves move only 4-byte [`FlitId`] handles. Together with
-//! the persistent [`StepCtx`] and the scratch buffers below, a warmed-up
-//! sequential run with tracing, verification and resilience disabled
-//! performs **zero heap allocations per cycle** (pinned by
-//! `tests/zero_alloc.rs` and the root crate's allocation-regression
-//! test).
+//! The fast path steps the tiles in parallel with [`NoHooks`]. A traced,
+//! verified or resilient run steps every node in row-major order on the
+//! calling thread with [`Diagnosed`] hooks, whatever the tile count; its
+//! sends, seam sends and commit phase are the fast path's.
 //!
-//! # Tile-parallel stepping
-//!
-//! [`Network::set_tile_threads`] shards the node sweep into rectangular
-//! tiles stepped by a persistent worker pool, with a deterministic commit
-//! phase that keeps every observable result **bit-identical** to the
-//! sequential engine — same `RunResult` bytes, same golden replay hashes,
-//! same verifier oracle outcomes — at any tile count. See [`crate::tiles`]
-//! for the worker half and the race-freedom argument; diagnosed runs
-//! (tracing, verification, resilience) always take the sequential path.
+//! Every flit parked in the engine (source queue, link delay line) lives
+//! in its tile's slab [`FlitPool`](noc_core::pool::FlitPool); queues and
+//! channels move 4-byte handles. A warmed-up fast-path run performs **zero
+//! heap allocations per cycle** (pinned by `tests/zero_alloc.rs` and the
+//! root crate's allocation-regression test).
 
-use crate::reassembly::Reassembler;
-use crate::resilience::{AckMsg, ResilienceState};
-use crate::router::{RouterModel, StepCtx};
-use crate::tiles::{step_tile, SharedGrid, SharedShards, TileEngine};
-use crate::verify::{NullVerifier, RunObserver, StepInputs};
-use crate::{CREDIT_LATENCY, LINK_LATENCY};
+use crate::pool::WorkerPool;
+use crate::resilience::ResilienceState;
+use crate::router::RouterModel;
+use crate::tiles::{step_node, Diagnosed, NoHooks, Tile};
+use crate::verify::{NullVerifier, RunObserver};
 use noc_core::flit::{Flit, PacketDesc};
-use noc_core::pool::{FlitId, FlitPool};
 use noc_core::stats::{EventCounts, NetStats};
-use noc_core::types::{Cycle, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
+use noc_core::types::{Cycle, NodeId};
 use noc_core::SimConfig;
-use noc_resilience::{ResiliencePlan, TimeoutAction, TransientEffect};
+use noc_resilience::{ResiliencePlan, TimeoutAction};
 use noc_topology::link::TimedChannel;
-use noc_topology::{DelayLine, Mesh};
-use noc_trace::{CycleSample, NullSink, TraceEvent, TraceSink};
+use noc_topology::{Mesh, TilePartition};
+use noc_trace::{CycleSample, NullSink, TraceSink};
 use noc_traffic::generator::{DeliveredPacket, TrafficModel};
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A complete simulated network of one router design.
 ///
@@ -50,35 +45,19 @@ use std::collections::VecDeque;
 pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     mesh: Mesh,
     cfg: SimConfig,
-    routers: Vec<R>,
-    /// `neighbors[node][d]`: the node across the output link in direction
-    /// `d` (`None` at mesh edges). Precomputed once — the send and credit
-    /// loops look this up per flit-hop, and the table replaces a
-    /// coordinate round-trip with one indexed load.
-    neighbors: Vec<[Option<NodeId>; NUM_LINK_PORTS]>,
-    /// Slab arenas for every flit parked in the engine-side queues below,
-    /// one per tile shard (exactly one when running sequentially). The
-    /// invariant: a flit parked at node `i` — source queue, in-flight
-    /// link — lives in `pools[shard_of[i]]`, so sends allocate into the
-    /// *receiver's* pool.
-    pools: Vec<FlitPool>,
-    /// Owning tile shard per node (all zeros when untiled).
-    shard_of: Vec<u16>,
-    /// `in_links[node][d]`: flits arriving at `node` on input port `d`
-    /// (fed by the neighbour in direction `d`). `None` at mesh edges.
-    in_links: Vec<[Option<DelayLine<FlitId>>; NUM_LINK_PORTS]>,
-    /// `in_credits[node][d]`: credits returning to `node` for its *output*
-    /// link in direction `d`.
-    in_credits: Vec<[Option<DelayLine<u32>>; NUM_LINK_PORTS]>,
-    /// Per-node injection queues (source side of the PE).
-    source_queues: Vec<VecDeque<FlitId>>,
-    /// Reassembly state, sharded like the pools (ejections happen at the
-    /// flit's destination, so each shard's reassembler is tile-local).
-    reassemblers: Vec<Reassembler>,
+    /// The node state, one tile per worker slot.
+    tiles: Vec<Tile<R>>,
+    /// `place[node]`: the node's `(tile, local index)`.
+    place: Vec<(usize, usize)>,
+    /// Steps the tiles of the fast path; one slot runs inline.
+    workers: WorkerPool,
+    /// Whether `set_tile_threads` asked for tiles (`tile_threads` reports
+    /// 0 for the default single inline tile).
+    tiled: bool,
     /// SCARAB NACK/retransmission channel: dropped flits travel back to the
     /// source (as a NACK) and are re-enqueued at the head of its queue.
     /// Carries flits by value — a NACK in flight belongs to no node, hence
-    /// to no shard's pool.
+    /// to no tile's pool.
     retransmits: TimedChannel<Flit>,
     stats: NetStats,
     cycle: Cycle,
@@ -86,28 +65,19 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// (offered-load bookkeeping at deep saturation).
     pub source_overflow: u64,
     /// Destination for lifecycle events and per-cycle samples. The default
-    /// [`NullSink`] reports not-recording, which keeps every router's
-    /// `TraceBuf` disabled and the hot path at one branch per site.
+    /// [`NullSink`] reports not-recording, which keeps the run on the fast
+    /// path.
     sink: Box<dyn TraceSink>,
     /// Runtime-verification observer. The default [`NullVerifier`] reports
-    /// inactive, which keeps every router's `ProbeBuf` disabled and skips
-    /// all observer hooks.
+    /// inactive, which keeps the run on the fast path.
     observer: Box<dyn RunObserver>,
     /// Resilience layer (fault injection + CRC/ARQ recovery). `None` keeps
     /// the engine byte-identical to a fault-free build.
     resilience: Option<ResilienceState>,
-    /// Tile-parallel stepping engine (worker pool + per-shard state).
-    /// `None` runs the classic sequential sweep.
-    tiles: Option<TileEngine>,
-    /// `DXBAR_TILE_CANARY`: deliberately release seam credits one cycle
-    /// stale during the tiled commit phase — the classic double-buffer
-    /// flush bug, seeded so the sequential-vs-parallel equivalence suite
-    /// can prove it catches real cross-seam regressions. Sequential runs
-    /// are unaffected (the bug lives in the commit phase only).
-    canary: bool,
-    /// Persistent per-step context, cleared in place each router step so
-    /// its buffers (ejected/dropped/trace/probe) are allocated once.
-    ctx: StepCtx,
+    /// Seeded fault for the tile-equivalence test: seam flits flushed one
+    /// cycle stale, the classic double-buffer bug.
+    #[cfg(test)]
+    stale_seams: Option<Vec<crate::tiles::Seam<Flit>>>,
     /// Scratch for `TrafficModel::poll_into` (one use per cycle).
     poll_scratch: Vec<PacketDesc>,
     /// Scratch for draining the retransmission channel.
@@ -125,44 +95,13 @@ impl<R: RouterModel> Network<R> {
     pub fn new(cfg: &SimConfig, factory: &dyn Fn(NodeId) -> R) -> Network<R> {
         cfg.validate().expect("invalid SimConfig");
         let mesh = Mesh::for_config(cfg);
-        let n = mesh.num_nodes();
-        let routers: Vec<R> = mesh.nodes().map(factory).collect();
-        for (i, r) in routers.iter().enumerate() {
-            assert_eq!(r.node(), NodeId(i as u16), "factory returned wrong node id");
-        }
-        let mut in_links = Vec::with_capacity(n);
-        let mut in_credits = Vec::with_capacity(n);
-        let mut neighbors = Vec::with_capacity(n);
-        for node in mesh.nodes() {
-            let mut links: [Option<DelayLine<FlitId>>; NUM_LINK_PORTS] = [None, None, None, None];
-            let mut credits: [Option<DelayLine<u32>>; NUM_LINK_PORTS] = [None, None, None, None];
-            let mut nbrs: [Option<NodeId>; NUM_LINK_PORTS] = [None; NUM_LINK_PORTS];
-            for d in LINK_DIRECTIONS {
-                if let Some(nbr) = mesh.neighbor(node, d) {
-                    links[d.index()] = Some(DelayLine::new(LINK_LATENCY));
-                    credits[d.index()] = Some(DelayLine::new(CREDIT_LATENCY));
-                    nbrs[d.index()] = Some(nbr);
-                }
-            }
-            in_links.push(links);
-            in_credits.push(credits);
-            neighbors.push(nbrs);
-        }
-        Network {
+        let mut net = Network {
             mesh,
             cfg: cfg.clone(),
-            routers,
-            neighbors,
-            pools: vec![FlitPool::new()],
-            shard_of: vec![0; n],
-            in_links,
-            in_credits,
-            // Reserve the cap up front: queue growth never shows up as a
-            // mid-run allocation (the cap is small — u32 handles only).
-            source_queues: (0..n)
-                .map(|_| VecDeque::with_capacity(cfg.source_queue_cap))
-                .collect(),
-            reassemblers: vec![Reassembler::new()],
+            tiles: Vec::new(),
+            place: Vec::new(),
+            workers: WorkerPool::new(1),
+            tiled: false,
             retransmits: TimedChannel::new(),
             stats: NetStats::default(),
             cycle: 0,
@@ -170,24 +109,60 @@ impl<R: RouterModel> Network<R> {
             sink: Box::new(NullSink),
             observer: Box::new(NullVerifier),
             resilience: None,
-            tiles: None,
-            canary: std::env::var("DXBAR_TILE_CANARY").is_ok_and(|v| v.trim() == "1"),
-            ctx: StepCtx::default(),
+            #[cfg(test)]
+            stale_seams: None,
             poll_scratch: Vec::new(),
             retx_scratch: Vec::new(),
             occ_scratch: Vec::new(),
             degraded_scratch: Vec::new(),
             action_scratch: Vec::new(),
+        };
+        let routers: Vec<R> = mesh.nodes().map(factory).collect();
+        for (i, r) in routers.iter().enumerate() {
+            assert_eq!(r.node(), NodeId(i as u16), "factory returned wrong node id");
+        }
+        net.shard(&TilePartition::new(mesh.width(), mesh.height(), 1), routers);
+        net
+    }
+
+    /// Lay the nodes out over the tiles of `partition`, with fresh links,
+    /// queues and pools; `routers` yields the routers in row-major order.
+    fn shard(&mut self, partition: &TilePartition, routers: impl IntoIterator<Item = R>) {
+        self.place = vec![(0, 0); self.mesh.num_nodes()];
+        for w in 0..partition.num_tiles() {
+            for (i, node) in partition.nodes(w).iter().enumerate() {
+                self.place[node.index()] = (w, i);
+            }
+        }
+        self.tiles = (0..partition.num_tiles())
+            .map(|w| {
+                let cap = self.cfg.source_queue_cap;
+                Tile::new(&self.mesh, w, partition.nodes(w), &self.place, cap)
+            })
+            .collect();
+        let routers = routers.into_iter();
+        if let [tile] = &mut self.tiles[..] {
+            // One tile's local order is the row-major order, and collecting
+            // a `Vec`'s own iterator keeps its buffer: no router moves.
+            tile.routers = routers.collect();
+            return;
+        }
+        for tile in &mut self.tiles {
+            tile.routers.reserve_exact(tile.nodes.len());
+        }
+        // Each tile's nodes ascend, so pushing in row-major order lands
+        // every router at its local index.
+        for (r, &(w, _)) in routers.zip(&self.place) {
+            self.tiles[w].routers.push(r);
         }
     }
 
     /// Configure the tile-parallel stepping engine: shard the mesh into
     /// (up to) `threads` rectangular tiles stepped by a persistent worker
-    /// pool. `0` restores the sequential sweep; `1` runs the tiled code
-    /// path single-threaded (useful for pinning its equivalence). Results
-    /// are bit-identical at every setting, so this is a throughput knob
-    /// only — it deliberately stays out of `SimConfig` and any result
-    /// cache identity.
+    /// pool. `0` restores the single inline tile; `1` is the same single
+    /// tile, reported as one. Results are bit-identical at every setting,
+    /// so this is a throughput knob only — it deliberately stays out of
+    /// `SimConfig` and any result cache identity.
     ///
     /// Must be called before the first [`step`](Self::step): flit storage
     /// re-shards along tile boundaries.
@@ -196,28 +171,39 @@ impl<R: RouterModel> Network<R> {
             self.cycle, 0,
             "tile threads must be configured before the first step"
         );
-        debug_assert!(self.pools.iter().all(|p| p.is_empty()));
-        let n = self.mesh.num_nodes();
-        if threads == 0 {
-            self.tiles = None;
-            self.pools = vec![FlitPool::new()];
-            self.reassemblers = vec![Reassembler::new()];
-            self.shard_of = vec![0; n];
+        debug_assert!(self.tiles.iter().all(|t| t.pool.is_empty()));
+        self.tiled = threads > 0;
+        // A partition depends only on the tile count it settles on.
+        if threads.max(1) == self.tiles.len() {
             return;
         }
-        let engine = TileEngine::new(self.mesh.width(), self.mesh.height(), threads);
-        let nt = engine.partition.num_tiles();
-        self.pools = (0..nt).map(|_| FlitPool::new()).collect();
-        self.reassemblers = (0..nt).map(|_| Reassembler::new()).collect();
-        self.shard_of = engine.partition.shard_of().to_vec();
-        self.tiles = Some(engine);
+        let partition = TilePartition::new(self.mesh.width(), self.mesh.height(), threads);
+        let old_place = std::mem::take(&mut self.place);
+        let mut old: Vec<_> = std::mem::take(&mut self.tiles)
+            .into_iter()
+            .map(|t| t.routers.into_iter())
+            .collect();
+        let routers = old_place
+            .iter()
+            .map(|&(w, _)| old[w].next().expect("one router per node"));
+        self.shard(&partition, routers);
+        self.workers = WorkerPool::new(partition.num_tiles());
     }
 
-    /// Number of tile shards the parallel engine runs (0 = sequential).
-    /// May be less than requested when the mesh cannot be cut that many
-    /// ways.
+    /// Number of tile shards the parallel engine runs (0 = the default
+    /// single inline tile). May be less than requested when the mesh
+    /// cannot be cut that many ways.
     pub fn tile_threads(&self) -> usize {
-        self.tiles.as_ref().map_or(0, |e| e.partition.num_tiles())
+        if self.tiled {
+            self.tiles.len()
+        } else {
+            0
+        }
+    }
+
+    fn router(&self, node: NodeId) -> &R {
+        let (w, i) = self.place[node.index()];
+        &self.tiles[w].routers[i]
     }
 
     /// Attach a resilience plan: link faults, transient strikes and the NI
@@ -283,7 +269,7 @@ impl<R: RouterModel> Network<R> {
     }
 
     pub fn design_name(&self) -> &'static str {
-        self.routers[0].design_name()
+        self.router(NodeId(0)).design_name()
     }
 
     /// Design name of the router at one node. Homogeneous networks return
@@ -291,23 +277,20 @@ impl<R: RouterModel> Network<R> {
     /// (the scenario engine's island fabrics) differ per node, and the
     /// verifier derives its per-node oracle profiles from this.
     pub fn router_design_name(&self, node: NodeId) -> &'static str {
-        self.routers[node.index()].design_name()
+        self.router(node).design_name()
     }
 
     /// Whether every node runs the same router design.
     pub fn is_homogeneous(&self) -> bool {
-        let first = self.routers[0].design_name();
-        self.routers.iter().all(|r| r.design_name() == first)
+        let first = self.design_name();
+        let mut routers = self.tiles.iter().flat_map(|t| &t.routers);
+        routers.all(|r| r.design_name() == first)
     }
 
-    fn created_in_window(&self, created: Cycle) -> bool {
+    /// The measurement window, in cycles.
+    fn window(&self) -> Range<Cycle> {
         let lo = self.cfg.warmup_cycles;
-        let hi = lo + self.cfg.measure_cycles;
-        (lo..hi).contains(&created)
-    }
-
-    fn now_in_window(&self) -> bool {
-        self.created_in_window(self.cycle)
+        lo..lo + self.cfg.measure_cycles
     }
 
     /// Advance the network by one cycle, pulling new packets from `model`.
@@ -325,9 +308,8 @@ impl<R: RouterModel> Network<R> {
         retx.clear();
         self.retransmits.recv_due_into(t, &mut retx);
         for &flit in &retx {
-            let src = flit.src.index();
-            let sh = self.shard_of[src] as usize;
-            self.source_queues[src].push_front(self.pools[sh].alloc(flit));
+            let (w, i) = self.place[flit.src.index()];
+            self.tiles[w].requeue(i, flit);
         }
         retx.clear();
         self.retx_scratch = retx;
@@ -342,34 +324,32 @@ impl<R: RouterModel> Network<R> {
         //    generator is cut off at the end of the measurement window so
         //    the drain only serves in-flight packets; closed-loop runs use
         //    drain_cycles = 0 and poll throughout.
-        let offered_now = self.now_in_window();
         let generating =
             self.cfg.drain_cycles == 0 || t < self.cfg.warmup_cycles + self.cfg.measure_cycles;
-        if !generating {
-            self.cycle_routers(t, model);
-            self.cycle += 1;
-            return;
-        }
-        let lossless = model.lossless();
-        let mut polled = std::mem::take(&mut self.poll_scratch);
-        polled.clear();
-        model.poll_into(t, &mut polled);
-        for desc in &polled {
-            let sh = self.shard_of[desc.src.index()] as usize;
-            let q = &mut self.source_queues[desc.src.index()];
-            for flit in desc.flits() {
-                self.stats.record_offered(offered_now);
-                if !lossless && q.len() >= self.cfg.source_queue_cap {
-                    self.source_overflow += 1;
-                } else {
-                    q.push_back(self.pools[sh].alloc(flit));
+        if generating {
+            let offered_now = self.window().contains(&t);
+            let lossless = model.lossless();
+            let mut polled = std::mem::take(&mut self.poll_scratch);
+            polled.clear();
+            model.poll_into(t, &mut polled);
+            for desc in &polled {
+                let (w, i) = self.place[desc.src.index()];
+                let tile = &mut self.tiles[w];
+                for flit in desc.flits() {
+                    self.stats.record_offered(offered_now);
+                    if !lossless && tile.queues[i].len() >= self.cfg.source_queue_cap {
+                        self.source_overflow += 1;
+                    } else {
+                        let id = tile.pool.alloc(flit);
+                        tile.queues[i].push_back(id);
+                    }
                 }
             }
+            polled.clear();
+            self.poll_scratch = polled;
         }
-        polled.clear();
-        self.poll_scratch = polled;
 
-        self.cycle_routers(t, model);
+        self.cycle_nodes(t, model);
         self.cycle += 1;
     }
 
@@ -385,7 +365,8 @@ impl<R: RouterModel> Network<R> {
         res.apply_onsets(t, degraded);
         for node in degraded.drain(..) {
             let mask = res.link_down[node.index()];
-            self.routers[node.index()].set_faulty_links(mask);
+            let (w, i) = self.place[node.index()];
+            self.tiles[w].routers[i].set_faulty_links(mask);
         }
 
         res.arm_strikes(t);
@@ -412,9 +393,8 @@ impl<R: RouterModel> Network<R> {
                     if verifying {
                         self.observer.on_retransmit_queued(&flit);
                     }
-                    // The retransmit buffer has priority over fresh traffic.
-                    let sh = self.shard_of[flit.src.index()] as usize;
-                    self.source_queues[flit.src.index()].push_front(self.pools[sh].alloc(flit));
+                    let (w, i) = self.place[flit.src.index()];
+                    self.tiles[w].requeue(i, flit);
                 }
                 TimeoutAction::GiveUp(flit) => {
                     self.stats.events.flits_lost += 1;
@@ -426,452 +406,142 @@ impl<R: RouterModel> Network<R> {
         }
     }
 
-    /// Router phase + link phase, one node at a time. Routers only read
-    /// their own delay-line endpoints, so a fixed iteration order is
-    /// deterministic and race-free.
-    ///
-    /// With a tiled engine attached and no diagnostics active, dispatches
-    /// to the bit-identical parallel sweep instead. Tracing, verification
-    /// and resilience pin the sequential path: their hooks observe
-    /// mid-sweep state in node order, which the commit-phase replay
-    /// deliberately does not reconstruct.
-    fn cycle_routers(&mut self, t: Cycle, model: &mut dyn TrafficModel) {
+    /// One cycle of the node sweep, then the commit phase, then the
+    /// end-of-cycle observer and trace sample (which therefore see seam
+    /// flits on their wires and drops in the retransmission channel).
+    fn cycle_nodes(&mut self, t: Cycle, model: &mut dyn TrafficModel) {
         let tracing = self.sink.is_recording();
         let verifying = self.observer.is_active();
-        if self.tiles.is_some() && !tracing && !verifying && self.resilience.is_none() {
-            return self.cycle_routers_tiled(t, model);
-        }
-        if verifying {
-            self.observer.on_cycle_start(t);
-        }
-        self.resilience_begin_cycle(t, verifying);
         let traversals_before = self.stats.events.link_traversals;
-        // The persistent context is moved out for the loop (it borrows
-        // mutably alongside routers/links/pool) and restored at the end;
-        // its buffers keep their capacity across cycles.
-        let mut ctx = std::mem::take(&mut self.ctx);
-        for i in 0..self.routers.len() {
-            let node = NodeId(i as u16);
-            let sh = self.shard_of[i] as usize;
-            ctx.reset(t);
-            ctx.trace.set_enabled(tracing);
-            ctx.probe.set_enabled(verifying);
-
-            for d in LINK_DIRECTIONS {
-                if let Some(line) = self.in_links[i][d.index()].as_mut() {
-                    if let Some(id) = line.recv(t) {
-                        ctx.arrivals[d.index()] = Some(self.pools[sh].take(id));
-                    }
-                }
-                if let Some(line) = self.in_credits[i][d.index()].as_mut() {
-                    if let Some(c) = line.recv(t) {
-                        ctx.credits_in[d.index()] = c;
-                    }
-                }
-            }
-            // Sequence the queue head in place before copying it into the
-            // offer, so the sequence number survives the eventual pop (a
-            // no-op for already-sequenced retransmissions).
-            if let Some(res) = self.resilience.as_mut() {
-                if let Some(&front) = self.source_queues[i].front() {
-                    res.senders[i].sequence(self.pools[sh].get_mut(front));
-                }
-            }
-            ctx.injection = self.source_queues[i].front().map(|&id| {
-                let mut f = *self.pools[sh].get(id);
-                f.injected = t;
-                f
-            });
-
-            // Routers may consume (take) their arrivals, so snapshot inputs
-            // before stepping.
-            let inputs = if verifying {
-                Some(StepInputs {
-                    arrivals: ctx.arrivals,
-                    injection: ctx.injection,
-                })
-            } else {
-                None
-            };
-            // Conservation inputs feed only the debug assert below and the
-            // verification observer; skip the occupancy scans on the
-            // unobserved release fast path.
-            let conserving = verifying || cfg!(debug_assertions);
-            let arrivals_offered = if conserving {
-                ctx.arrivals.iter().flatten().count()
-            } else {
-                0
-            };
-            let occ_before = if conserving {
-                self.routers[i].occupancy()
-            } else {
-                0
-            };
-            self.routers[i].step(&mut ctx);
-            let occ_after = if conserving {
-                self.routers[i].occupancy()
-            } else {
-                0
-            };
-            // With an active observer attached, conservation violations are
-            // its to report (structured, non-fatal); the hard assert guards
-            // unobserved runs only.
-            debug_assert!(
-                verifying
-                    || occ_before + arrivals_offered + usize::from(ctx.injected)
-                        == occ_after + ctx.flits_out(),
-                "flit conservation violated at {node} cycle {t}"
-            );
-            if let Some(inputs) = &inputs {
-                // Observe before the engine consumes the outputs below.
-                self.observer
-                    .on_router_step(node, inputs, &ctx, occ_before, occ_after);
-            }
-
-            // Outgoing flits onto the links.
-            for d in LINK_DIRECTIONS {
-                if let Some(mut flit) = ctx.out_links[d.index()].take() {
-                    let nbr = self.neighbors[i][d.index()]
-                        .unwrap_or_else(|| panic!("{node} routed {flit:?} off-mesh via {d}"));
-                    // Resilience link phase: a dead link swallows the flit,
-                    // a transient strike corrupts or drops it. Flits already
-                    // on the wire when a link dies still arrive (the onset
-                    // kills future sends, not in-flight data).
-                    if let Some(res) = self.resilience.as_mut() {
-                        if res.link_dead(node, d) {
-                            ctx.events.transit_losses += 1;
-                            if verifying {
-                                self.observer.on_transit_loss(node, d, &flit);
-                            }
-                            continue;
-                        }
-                        match res.take_strike(node, d) {
-                            Some(TransientEffect::Drop) => {
-                                ctx.events.transit_losses += 1;
-                                if verifying {
-                                    self.observer.on_transit_loss(node, d, &flit);
-                                }
-                                continue;
-                            }
-                            Some(TransientEffect::Corrupt(mask)) => {
-                                flit.corrupt_payload(mask);
-                                ctx.events.transit_corruptions += 1;
-                                if verifying {
-                                    self.observer.on_transit_corrupt(node, d, &flit);
-                                }
-                            }
-                            None => {}
-                        }
-                    }
-                    flit.hops += 1;
-                    ctx.events.link_traversals += 1;
-                    ctx.trace.emit(|| TraceEvent::Hop {
-                        cycle: t,
-                        node,
-                        packet: flit.packet,
-                        flit_index: flit.flit_index as u16,
-                        dir: d,
-                    });
-                    // Allocate in the receiver's shard pool — the flit is
-                    // about to be parked on its inbound wire.
-                    let shn = self.shard_of[nbr.index()] as usize;
-                    let id = self.pools[shn].alloc(flit);
-                    self.in_links[nbr.index()][d.opposite().index()]
-                        .as_mut()
-                        .expect("reverse link exists")
-                        .send(t, id);
-                }
-            }
-
-            // Credits upstream.
-            for d in LINK_DIRECTIONS {
-                let c = ctx.credits_out[d.index()];
-                if c > 0 {
-                    if let Some(upstream) = self.neighbors[i][d.index()] {
-                        self.in_credits[upstream.index()][d.opposite().index()]
-                            .as_mut()
-                            .expect("reverse credit wire exists")
-                            .send(t, c);
-                    }
-                }
-            }
-
-            // Injection accepted?
-            if ctx.injected {
-                let popped = self.source_queues[i].pop_front();
-                debug_assert!(popped.is_some(), "router injected a phantom flit");
-                ctx.events.injections += 1;
-                if let Some(id) = popped {
-                    let flit = self.pools[sh].take(id);
-                    // Arm (or re-arm, for a retransmission) the ARQ timer at
-                    // the actual network entry, so source queueing never
-                    // burns the retry budget.
-                    if let Some(res) = self.resilience.as_mut() {
-                        res.senders[i].on_injected(flit.seq, t);
-                    }
-                    ctx.trace.emit(|| TraceEvent::Inject {
-                        cycle: t,
-                        node,
-                        packet: flit.packet,
-                        flit_index: flit.flit_index as u16,
-                    });
-                }
-            }
-
-            // Ejections -> CRC check/ACK (resilient runs) -> reassembly ->
-            // traffic-model callback.
-            let ejected_in_window = self.now_in_window();
-            let win_lo = self.cfg.warmup_cycles;
-            let win_hi = win_lo + self.cfg.measure_cycles;
-            for flit in ctx.ejected.drain(..) {
-                debug_assert_eq!(flit.dst, node, "flit ejected at wrong node");
-                ctx.events.ejections += 1;
-                if flit.seq != 0 {
-                    if let Some(res) = self.resilience.as_mut() {
-                        let back_hops = self.mesh.hop_distance(node, flit.src).max(1) as u64;
-                        ctx.events.ack_hops += back_hops;
-                        if !flit.crc_ok() {
-                            // Detected corruption: bounce it, NACK the
-                            // source NI, and wait for the retransmission.
-                            ctx.events.crc_rejects += 1;
-                            res.acks.send(
-                                t,
-                                back_hops,
-                                AckMsg {
-                                    to: flit.src,
-                                    seq: flit.seq,
-                                    nack: true,
-                                },
-                            );
-                            if verifying {
-                                self.observer.on_crc_reject(node, &flit);
-                            }
-                            continue;
-                        }
-                        res.acks.send(
-                            t,
-                            back_hops,
-                            AckMsg {
-                                to: flit.src,
-                                seq: flit.seq,
-                                nack: false,
-                            },
-                        );
-                        if !res.record_delivery(flit.src, flit.seq) {
-                            // A spurious-timeout retransmission of a flit
-                            // that already arrived: re-ACK and suppress.
-                            ctx.events.duplicates_suppressed += 1;
-                            continue;
-                        }
-                        if flit.retransmits > 0 {
-                            // Delivery needed recovery: record creation ->
-                            // final-delivery latency.
-                            let created_in_window = (win_lo..win_hi).contains(&flit.created);
-                            self.stats
-                                .record_recovery(flit.created, t, created_in_window);
-                        }
-                    }
-                }
-                ctx.trace.emit(|| TraceEvent::Eject {
-                    cycle: t,
-                    node,
-                    packet: flit.packet,
-                    flit_index: flit.flit_index as u16,
-                    latency: t.saturating_sub(flit.created),
-                });
-                let created_in_window = self.created_in_window(flit.created);
-                self.stats.record_flit_ejected(
-                    flit.created,
-                    flit.hops,
-                    t,
-                    ejected_in_window,
-                    created_in_window,
-                );
-                if let Some(done) = self.reassemblers[sh].accept(&flit, t) {
-                    self.stats
-                        .record_packet_done(done.src, done.created, t, created_in_window);
-                    model.on_delivered(&DeliveredPacket {
-                        id: done.id,
-                        src: done.src,
-                        dst: done.dst,
-                        kind: done.kind,
-                        created: done.created,
-                        delivered: t,
-                    });
-                }
-            }
-
-            // Drops -> NACK to source -> retransmission (SCARAB).
-            for mut flit in ctx.dropped.drain(..) {
-                ctx.events.drops += 1;
-                ctx.trace.emit(|| TraceEvent::Drop {
-                    cycle: t,
-                    node,
-                    packet: flit.packet,
-                    flit_index: flit.flit_index as u16,
-                });
-                let nack_hops = self.mesh.hop_distance(node, flit.src).max(1) as u64;
-                ctx.events.nack_hops += nack_hops;
-                ctx.events.retransmissions += 1;
-                flit.retransmits += 1;
-                self.retransmits.send(t, nack_hops, flit);
-            }
-
+        if tracing || verifying || self.resilience.is_some() {
             if verifying {
-                // The observer consumed this node's per-step event deltas;
-                // harvest them now so the next router starts from zero.
-                self.stats.events.merge(&ctx.events);
-                ctx.events = EventCounts::default();
+                self.observer.on_cycle_start(t);
             }
-            ctx.trace.drain_into(self.sink.as_mut());
+            self.resilience_begin_cycle(t, verifying);
+            let mut hooks = Diagnosed {
+                window: self.window(),
+                t,
+                mesh: &self.mesh,
+                tracing,
+                observer: verifying.then_some(self.observer.as_mut()),
+                sink: self.sink.as_mut(),
+                resilience: self.resilience.as_mut(),
+                stats: &mut self.stats,
+            };
+            for &(w, i) in &self.place {
+                step_node(&mut self.tiles[w], i, &self.mesh, &mut hooks, t);
+            }
+        } else {
+            let mesh = &self.mesh;
+            self.workers.for_each_mut(&mut self.tiles, |_, tile| {
+                for i in 0..tile.nodes.len() {
+                    step_node(tile, i, mesh, &mut NoHooks, t);
+                }
+            });
         }
-        // Unobserved runs let the counters accumulate across the whole node
-        // sweep; one harvest per cycle instead of one per router.
-        self.stats.events.merge(&ctx.events);
-        ctx.events = EventCounts::default();
-        self.ctx = ctx;
+        self.commit(t, model);
 
         if verifying {
             let in_flight = self.flits_in_flight();
             self.observer.on_cycle_end(t, in_flight);
         }
-
         if tracing {
-            self.occ_scratch.clear();
-            for r in &self.routers {
-                self.occ_scratch.push(r.occupancy());
-            }
-            let backlog: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
-            let in_flight = self.flits_in_flight() as u64;
-            let link_traversals = self.stats.events.link_traversals - traversals_before;
+            let mut occ = std::mem::take(&mut self.occ_scratch);
+            occ.clear();
+            occ.extend(
+                self.place
+                    .iter()
+                    .map(|&(w, i)| self.tiles[w].routers[i].occupancy()),
+            );
+            let backlog: u64 = self
+                .tiles
+                .iter()
+                .flat_map(|tile| &tile.queues)
+                .map(|q| q.len() as u64)
+                .sum();
             self.sink.sample_cycle(&CycleSample {
                 cycle: t,
-                in_flight,
+                in_flight: self.flits_in_flight() as u64,
                 backlog,
-                link_traversals,
-                per_router_occupancy: &self.occ_scratch,
+                link_traversals: self.stats.events.link_traversals - traversals_before,
+                per_router_occupancy: &occ,
             });
+            self.occ_scratch = occ;
         }
     }
 
-    /// The tile-parallel router sweep: workers step disjoint tiles behind
-    /// a barrier, then a sequential commit phase replays every cross-tile
-    /// effect in the exact order the sequential sweep would have produced
-    /// it. See [`crate::tiles`] for why the result is bit-identical.
-    fn cycle_routers_tiled(&mut self, t: Cycle, model: &mut dyn TrafficModel) {
-        let mut engine = self.tiles.take().expect("tiled dispatch without engine");
-
-        // Parallel phase: one worker slot per tile (the caller steps tile
-        // 0), synchronised by the broadcast barrier.
-        {
-            let grid = SharedGrid {
-                routers: self.routers.as_mut_ptr(),
-                in_links: self.in_links.as_mut_ptr(),
-                in_credits: self.in_credits.as_mut_ptr(),
-                queues: self.source_queues.as_mut_ptr(),
-                pools: self.pools.as_mut_ptr(),
-                reassemblers: self.reassemblers.as_mut_ptr(),
-                neighbors: self.neighbors.as_ptr(),
-                shard_of: self.shard_of.as_ptr(),
-                mesh: self.mesh,
-            };
-            let partition = &engine.partition;
-            let shards = SharedShards(engine.shards.as_mut_ptr());
-            let body = |w: usize| {
-                // Safety: slot w dereferences only shard w, and step_tile
-                // touches only tile-w-owned grid elements (see SharedGrid).
-                let shard = unsafe { shards.shard(w) };
-                step_tile(&grid, partition.nodes(w), shard, w as u16, t);
-            };
-            match engine.workers.as_ref() {
-                Some(pool) => pool.broadcast(&body),
-                None => body(0),
+    /// The sequential commit phase: replays every cross-tile effect of the
+    /// sweep in the order a row-major sweep would have produced it. See
+    /// [`crate::tiles`] for why the result is bit-identical.
+    fn commit(&mut self, t: Cycle, model: &mut dyn TrafficModel) {
+        // Seam sends first: every delay line has exactly one writer per
+        // cycle and a send at `t` lands in a slot no `recv(t)` read, so
+        // flushing after the sweep reconstructs the post-cycle channel
+        // state exactly.
+        #[cfg(test)]
+        if let Some(held) = self.stale_seams.as_mut() {
+            // Flush the seam flits held back last cycle; hold this cycle's.
+            // Every seam wire still carries at most one flit per cycle.
+            let stale = std::mem::take(held);
+            for tile in &mut self.tiles {
+                held.append(&mut tile.seam_flits);
             }
+            self.tiles[0].seam_flits = stale;
         }
-
-        // Commit phase, sequential. Seam sends first: every delay line has
-        // exactly one writer per cycle and a send at `t` lands in a slot no
-        // `recv(t)` read, so flushing after the sweep reconstructs the
-        // sequential engine's post-cycle channel state exactly.
-        let ejected_in_window = self.now_in_window();
-        // Canary: release the seam credits withheld from the *previous*
-        // cycle's flush — one cycle stale. Each wire carries at most one
-        // credit per cycle, so shifting every seam credit by a cycle keeps
-        // the one-send-per-wire-per-cycle invariant (no DelayLine overrun)
-        // while skewing upstream flow control: the seeded double-buffer
-        // flush bug the equivalence suite must catch.
-        if self.canary {
-            for c in engine.canary_held.drain(..) {
-                self.in_credits[c.dst.index()][c.dir.index()]
-                    .as_mut()
-                    .expect("reverse credit wire exists")
-                    .send(t, c.credits);
-            }
-        }
-        for w in 0..engine.shards.len() {
-            let shard = &mut engine.shards[w];
-            for s in shard.seam_flits.drain(..) {
-                let sh = self.shard_of[s.dst.index()] as usize;
-                let id = self.pools[sh].alloc(s.flit);
-                self.in_links[s.dst.index()][s.dir.index()]
+        let window = self.window();
+        let ejected_in_window = window.contains(&t);
+        for w in 0..self.tiles.len() {
+            let mut flits = std::mem::take(&mut self.tiles[w].seam_flits);
+            for s in flits.drain(..) {
+                let dst = &mut self.tiles[s.tile as usize];
+                let id = dst.pool.alloc(s.sent);
+                dst.in_links[s.local as usize][s.dir.index()]
                     .as_mut()
                     .expect("reverse link exists")
                     .send(t, id);
             }
-            if self.canary {
-                engine.canary_held.append(&mut shard.seam_credits);
-            } else {
-                for c in shard.seam_credits.drain(..) {
-                    self.in_credits[c.dst.index()][c.dir.index()]
-                        .as_mut()
-                        .expect("reverse credit wire exists")
-                        .send(t, c.credits);
-                }
+            self.tiles[w].seam_flits = flits;
+            let mut credits = std::mem::take(&mut self.tiles[w].seam_credits);
+            for c in credits.drain(..) {
+                self.tiles[c.tile as usize].in_credits[c.local as usize][c.dir.index()]
+                    .as_mut()
+                    .expect("reverse credit wire exists")
+                    .send(t, c.sent);
             }
+            self.tiles[w].seam_credits = credits;
+
             // Event counters and ejection statistics are sums, min/max and
-            // bucket increments — commutative, so shard-major replay is
-            // already bitwise-equal to the sequential interleaving.
-            self.stats.events.merge(&shard.ctx.events);
-            shard.ctx.events = EventCounts::default();
-            for e in shard.ejects.drain(..) {
-                let created_in_window = self.created_in_window(e.created);
+            // bucket increments — commutative, so tile-major replay is
+            // bitwise-equal to the row-major interleaving.
+            let tile = &mut self.tiles[w];
+            self.stats.events.merge(&tile.ctx.events);
+            tile.ctx.events = EventCounts::default();
+            for e in tile.ejects.drain(..) {
                 self.stats.record_flit_ejected(
                     e.created,
                     e.hops,
                     t,
                     ejected_in_window,
-                    created_in_window,
+                    window.contains(&e.created),
                 );
             }
         }
 
         // Packet completions drive closed-loop traffic models, and drops
         // feed the FIFO-sequenced retransmission channel: both replay in
-        // ascending node order — the sequential sweep order — via a k-way
-        // merge of the per-shard (node-sorted) lists. (Today every sink is
-        // order-insensitive: stats are commutative sums, and same-cycle
-        // drops of one source always sit at distinct hop distances, so
-        // their retransmits land on distinct due cycles. The merge is
-        // defensive — it keeps the contract independent of what future
-        // traffic models or observers do with delivery order.)
-        let ns = engine.shards.len();
-        engine.cursors.iter_mut().for_each(|c| *c = 0);
-        loop {
-            let mut pick: Option<usize> = None;
-            for w in 0..ns {
-                let Some(rec) = engine.shards[w].dones.get(engine.cursors[w]) else {
-                    continue;
-                };
-                let better =
-                    pick.is_none_or(|p| rec.node < engine.shards[p].dones[engine.cursors[p]].node);
-                if better {
-                    pick = Some(w);
-                }
-            }
-            let Some(w) = pick else { break };
-            let rec = engine.shards[w].dones[engine.cursors[w]];
-            engine.cursors[w] += 1;
-            let created_in_window = self.created_in_window(rec.flit_created);
+        // ascending node order via a k-way merge of the per-tile
+        // (node-sorted) lists. (Today every sink is order-insensitive:
+        // stats are commutative sums, and same-cycle drops of one source
+        // always sit at distinct hop distances, so their retransmits land
+        // on distinct due cycles. The merge keeps the contract independent
+        // of what future traffic models or observers do with delivery
+        // order.)
+        while let Some(w) = next_in_node_order(&self.tiles, |t| t.dones.front().map(|r| r.node)) {
+            let rec = self.tiles[w]
+                .dones
+                .pop_front()
+                .expect("picked tile has a record");
+            let created_in_window = window.contains(&rec.flit_created);
             self.stats
                 .record_packet_done(rec.done.src, rec.done.created, t, created_in_window);
             model.on_delivered(&DeliveredPacket {
@@ -883,30 +553,13 @@ impl<R: RouterModel> Network<R> {
                 delivered: t,
             });
         }
-        engine.cursors.iter_mut().for_each(|c| *c = 0);
-        loop {
-            let mut pick: Option<usize> = None;
-            for w in 0..ns {
-                let Some(rec) = engine.shards[w].drops.get(engine.cursors[w]) else {
-                    continue;
-                };
-                let better =
-                    pick.is_none_or(|p| rec.node < engine.shards[p].drops[engine.cursors[p]].node);
-                if better {
-                    pick = Some(w);
-                }
-            }
-            let Some(w) = pick else { break };
-            let rec = engine.shards[w].drops[engine.cursors[w]];
-            engine.cursors[w] += 1;
+        while let Some(w) = next_in_node_order(&self.tiles, |t| t.drops.front().map(|r| r.node)) {
+            let rec = self.tiles[w]
+                .drops
+                .pop_front()
+                .expect("picked tile has a record");
             self.retransmits.send(t, rec.nack_hops, rec.flit);
         }
-        for shard in engine.shards.iter_mut() {
-            shard.dones.clear();
-            shard.drops.clear();
-        }
-
-        self.tiles = Some(engine);
     }
 
     /// Run `n` cycles.
@@ -916,42 +569,93 @@ impl<R: RouterModel> Network<R> {
         }
     }
 
-    /// True when nothing is in flight anywhere (drain complete).
+    /// True when nothing is in flight anywhere (drain complete). A tile's
+    /// pool holds exactly the flits in its source queues and on its links.
     pub fn is_quiescent(&self) -> bool {
-        self.routers.iter().all(|r| r.is_idle())
-            && self
-                .in_links
-                .iter()
-                .flatten()
-                .flatten()
-                .all(|l| l.is_empty())
-            && self.source_queues.iter().all(|q| q.is_empty())
-            && self.retransmits.is_empty()
-            && self.reassemblers.iter().all(|r| r.is_empty())
+        self.tiles.iter().all(|tile| {
+            tile.pool.is_empty()
+                && tile.reassembler.is_empty()
+                && tile.routers.iter().all(|r| r.is_idle())
+        }) && self.retransmits.is_empty()
             && self.resilience.as_ref().is_none_or(|r| r.is_quiescent())
     }
 
     /// Flits currently inside the network (diagnostics).
     pub fn flits_in_flight(&self) -> usize {
-        let in_routers: usize = self.routers.iter().map(|r| r.occupancy()).sum();
-        // Everything outside the routers is parked in a shard pool (source
+        // Everything outside the routers is parked in a tile's pool (source
         // queues, link delay lines) or travelling back as a by-value NACK.
-        let in_pools: usize = self.pools.iter().map(|p| p.live()).sum();
-        in_routers + in_pools + self.retransmits.len()
+        let parked: usize = self
+            .tiles
+            .iter()
+            .map(|tile| {
+                tile.routers.iter().map(|r| r.occupancy()).sum::<usize>() + tile.pool.live()
+            })
+            .sum();
+        parked + self.retransmits.len()
     }
 
     /// Duplicate flits seen at reassembly (must be 0; exposed for tests).
     pub fn reassembly_duplicates(&self) -> u64 {
-        self.reassemblers.iter().map(|r| r.duplicates()).sum()
+        self.tiles.iter().map(|t| t.reassembler.duplicates()).sum()
     }
 
     /// Flits buffered inside one router (spatial diagnostics).
     pub fn router_occupancy(&self, node: NodeId) -> usize {
-        self.routers[node.index()].occupancy()
+        self.router(node).occupancy()
     }
 
     /// Flits waiting in one node's injection queue (spatial diagnostics).
     pub fn source_backlog(&self, node: NodeId) -> usize {
-        self.source_queues[node.index()].len()
+        let (w, i) = self.place[node.index()];
+        self.tiles[w].queues[i].len()
+    }
+}
+
+/// The tile whose next record has the lowest node id, if any records
+/// remain: one step of the commit phase's k-way merge.
+fn next_in_node_order<R>(
+    tiles: &[Tile<R>],
+    next: impl Fn(&Tile<R>) -> Option<NodeId>,
+) -> Option<usize> {
+    let heads = tiles.iter().enumerate();
+    heads
+        .filter_map(|(w, tile)| Some((next(tile)?, w)))
+        .min()
+        .map(|(_, w)| w)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::runner::tests::{build_net, test_cfg};
+    use crate::runner::{run, RunMode};
+    use noc_power::energy::EnergyModel;
+    use noc_topology::Mesh;
+    use noc_traffic::generator::SyntheticTraffic;
+    use noc_traffic::patterns::Pattern;
+
+    /// The `RunResult` of a 4x4 test-router run on `tiles` tiles, with
+    /// seam flits optionally flushed one cycle stale.
+    fn run_on(tiles: usize, stale_seams: bool) -> String {
+        let mut net = build_net(&test_cfg());
+        net.set_tile_threads(tiles);
+        net.stale_seams = stale_seams.then(Vec::new);
+        let mut model = SyntheticTraffic::new(Pattern::UniformRandom, Mesh::new(4, 4), 0.1, 1, 5);
+        let result = run(
+            &mut net,
+            &mut model,
+            RunMode::OpenLoop,
+            &EnergyModel::default(),
+        );
+        format!("{result:?}")
+    }
+
+    #[test]
+    fn stale_seam_flush_is_caught_by_tile_equivalence() {
+        // The classic double-buffer bug keeps every flit and the one send
+        // per wire per cycle; only cross-seam timing skews. The 4-tile vs
+        // 1-tile comparison behind every tile-determinism test must see it.
+        let one_tile = run_on(1, false);
+        assert_eq!(run_on(4, false), one_tile, "healthy 4-tile run diverged");
+        assert_ne!(run_on(4, true), one_tile, "stale seam flush went unseen");
     }
 }

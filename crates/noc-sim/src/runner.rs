@@ -125,7 +125,7 @@ fn summarize<R: RouterModel>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::router::{RouterModel, StepCtx};
     use noc_core::types::{Direction, NodeId, LINK_DIRECTIONS};
@@ -203,7 +203,7 @@ mod tests {
         }
     }
 
-    fn test_cfg() -> SimConfig {
+    pub(crate) fn test_cfg() -> SimConfig {
         SimConfig {
             width: 4,
             height: 4,
@@ -214,7 +214,7 @@ mod tests {
         }
     }
 
-    fn build_net(cfg: &SimConfig) -> Network {
+    pub(crate) fn build_net(cfg: &SimConfig) -> Network {
         let mesh = Mesh::new(cfg.width, cfg.height);
         Network::new(cfg, &move |node| {
             Box::new(TestRouter {

@@ -1,107 +1,159 @@
-//! Tile-sharded parallel stepping: the worker-side half of the engine.
+//! Tile-owned node state and the node kernel.
 //!
-//! The synchronous two-phase update makes the router sweep embarrassingly
-//! parallel *except* for five cross-node effects: link sends, credit
-//! returns, global statistics, packet completions and SCARAB drops. The
-//! tiled engine partitions the node sweep into rectangular tiles (one per
-//! worker, see [`TilePartition`]) and splits every cross-node effect into
-//! a race-free worker half (this module) and a deterministic sequential
-//! commit half (`Network::cycle_routers_tiled`):
+//! The nodes are split into rectangular tiles (see
+//! [`TilePartition`](noc_topology::TilePartition)); a sequential network
+//! is the one-tile case. Each [`Tile`] owns its nodes' routers, input
+//! links, input credits and source queues as contiguous vectors, plus its
+//! own flit pool, reassembler, step context and commit outboxes, so tiles
+//! step in parallel from disjoint `&mut` borrows.
 //!
-//! * **Intra-tile** link/credit sends go straight onto the delay lines —
-//!   both endpoints belong to the worker's tile, and a send at cycle `t`
-//!   lands in a ring slot (`t + latency`, latency >= 1) that no `recv(t)`
-//!   reads, so sweep order within the cycle is immaterial (the same
-//!   argument that makes the sequential fused sweep race-free).
-//! * **Seam** sends — receiver owned by another tile — are double-buffered
-//!   in the worker's outbox ([`SeamFlit`]/[`SeamCredit`]) and flushed by
-//!   the commit phase. Each `in_links[node][port]` delay line has exactly
-//!   one writer (the upstream neighbour), so a channel is either
-//!   worker-written or commit-written, never both; and because the flush
-//!   still happens at cycle `t`, the post-cycle channel state is
-//!   bit-identical to the sequential engine's.
-//! * **Statistics, completions and drops** are buffered as plain records
-//!   ([`EjectRec`]/[`DoneRec`]/[`DropRec`]) and replayed by the commit
-//!   phase — commutative counters in shard order, order-sensitive effects
-//!   (`on_delivered` into closed-loop traffic models, retransmission
-//!   sequencing) in ascending node order, i.e. exactly the sequential
-//!   sweep order.
+//! [`step_node`] is the only place a router is stepped and its outputs are
+//! routed. Cross-node effects:
 //!
-//! Flit storage shards with the tiles: `pools[s]` holds every flit parked
-//! at a node of tile `s` (source queues, in-flight links), so workers
-//! allocate and free slab slots without synchronisation. `FlitId`s are
-//! opaque handles that never leak into results, which is why re-sharding
-//! the arena cannot perturb a single observable bit.
+//! * **Intra-tile** link and credit sends go straight onto the receiver's
+//!   delay line. A send at cycle `t` lands in a ring slot (`t + latency`,
+//!   latency >= 1) that no `recv(t)` reads, so node order within a cycle
+//!   cannot matter.
+//! * **Seam** sends, to another tile's node, go to the tile's [`Seam`]
+//!   outboxes; the network's commit phase flushes them, still at `t`. Each
+//!   delay line has one writer (its upstream neighbour), so it is written
+//!   by its tile or by the commit phase, never both, and its post-cycle
+//!   state is the same as if the send had been direct.
+//! * **Statistics, completions and drops** are buffered as records
+//!   ([`EjectRec`]/[`DoneRec`]/[`DropRec`]) that the commit phase replays:
+//!   commutative counters tile by tile, order-sensitive effects
+//!   (`on_delivered`, retransmission sequencing) in ascending node order.
 //!
-//! Diagnostics (tracing, verification, resilience) force the sequential
-//! path in `Network::cycle_routers`; this module therefore omits those
-//! hooks entirely rather than carrying dead branches in the hot loop.
+//! A tile's pool holds every flit parked at one of its nodes (source
+//! queues, inbound links). `FlitId`s never leak into results, so
+//! re-sharding the arena changes no observable bit.
+//!
+//! The kernel is generic over [`Hooks`]. The fast path passes the
+//! zero-sized [`NoHooks`], whose hooks are all empty defaults, so tracing,
+//! verification and resilience cost it nothing after monomorphisation.
+//! [`Diagnosed`] lends the kernel the network's observer, trace sink,
+//! resilience state and statistics for one cycle.
 
 use crate::reassembly::{CompletedPacket, Reassembler};
+use crate::resilience::{AckMsg, ResilienceState};
 use crate::router::{RouterModel, StepCtx};
+use crate::verify::{RunObserver, StepInputs};
+use crate::{CREDIT_LATENCY, LINK_LATENCY};
 use noc_core::flit::Flit;
 use noc_core::pool::{FlitId, FlitPool};
+use noc_core::stats::{EventCounts, NetStats};
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
-use noc_topology::{DelayLine, Mesh, TilePartition};
+use noc_resilience::TransientEffect;
+use noc_topology::{DelayLine, Mesh};
+use noc_trace::{TraceBuf, TraceEvent, TraceSink};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::ops::Range;
 
-/// The tiled engine attached to a `Network` by `set_tile_threads`.
-pub(crate) struct TileEngine {
-    pub(crate) partition: TilePartition,
-    /// `None` for a single tile: the caller steps it inline, which keeps
-    /// the 1-tile configuration on the exact same code path as N tiles
-    /// (the determinism matrix leans on this).
-    pub(crate) workers: Option<WorkerPool>,
-    pub(crate) shards: Vec<TileShard>,
-    /// Per-shard cursors for the commit phase's k-way node-order merge.
-    pub(crate) cursors: Vec<usize>,
-    /// `DXBAR_TILE_CANARY` only: seam credits withheld from this cycle's
-    /// flush and released one cycle stale. Empty in healthy runs.
-    pub(crate) canary_held: Vec<SeamCredit>,
+/// The receiver of a node's output link in one direction.
+#[derive(Clone, Copy)]
+enum Peer {
+    /// A local node index of the same tile.
+    Local(u32),
+    /// `(tile, local index)` of another tile's node, via the commit phase.
+    Seam(u16, u32),
 }
 
-impl TileEngine {
-    pub(crate) fn new(width: u16, height: u16, threads: usize) -> TileEngine {
-        let partition = TilePartition::new(width, height, threads);
-        let nt = partition.num_tiles();
-        TileEngine {
-            partition,
-            workers: (nt > 1).then(|| WorkerPool::new(nt)),
-            shards: (0..nt).map(|_| TileShard::default()).collect(),
-            cursors: vec![0; nt],
-            canary_held: Vec::new(),
+/// One tile's nodes and everything the kernel touches while stepping them.
+/// All buffers keep their capacity across cycles.
+pub(crate) struct Tile<R> {
+    /// Global ids of the tile's nodes, ascending; index = local index.
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) routers: Vec<R>,
+    /// `peers[i][d]`: the receiver of local node `i`'s output link `d`
+    /// (`None` at mesh edges).
+    peers: Vec<[Option<Peer>; NUM_LINK_PORTS]>,
+    /// `in_links[i][d]`: flits arriving at local node `i` on input port
+    /// `d` (fed by the neighbour in direction `d`). `None` at mesh edges.
+    pub(crate) in_links: Vec<[Option<DelayLine<FlitId>>; NUM_LINK_PORTS]>,
+    /// `in_credits[i][d]`: credits returning to local node `i` for its
+    /// *output* link in direction `d`.
+    pub(crate) in_credits: Vec<[Option<DelayLine<u32>>; NUM_LINK_PORTS]>,
+    /// Per-node injection queues (source side of the PE).
+    pub(crate) queues: Vec<VecDeque<FlitId>>,
+    /// Slab arena for every flit parked at one of the tile's nodes.
+    pub(crate) pool: FlitPool,
+    /// Reassembly of packets ejected at the tile's nodes.
+    pub(crate) reassembler: Reassembler,
+    /// Persistent step context, reset in place for every router step.
+    pub(crate) ctx: StepCtx,
+    pub(crate) seam_flits: Vec<Seam<Flit>>,
+    pub(crate) seam_credits: Vec<Seam<u32>>,
+    pub(crate) ejects: Vec<EjectRec>,
+    pub(crate) dones: VecDeque<DoneRec>,
+    pub(crate) drops: VecDeque<DropRec>,
+}
+
+impl<R> Tile<R> {
+    /// Empty tile `me` over `nodes` (ascending); `place[node]` gives every
+    /// node's `(tile, local index)`. Routers are pushed by the caller in
+    /// the same order as `nodes`.
+    pub(crate) fn new(
+        mesh: &Mesh,
+        me: usize,
+        nodes: &[NodeId],
+        place: &[(usize, usize)],
+        queue_cap: usize,
+    ) -> Tile<R> {
+        let mut tile = Tile {
+            nodes: nodes.to_vec(),
+            routers: Vec::new(),
+            peers: Vec::with_capacity(nodes.len()),
+            in_links: Vec::with_capacity(nodes.len()),
+            in_credits: Vec::with_capacity(nodes.len()),
+            // Reserve the cap up front: queue growth never shows up as a
+            // mid-run allocation (the cap is small — u32 handles only).
+            queues: nodes
+                .iter()
+                .map(|_| VecDeque::with_capacity(queue_cap))
+                .collect(),
+            pool: FlitPool::new(),
+            reassembler: Reassembler::new(),
+            ctx: StepCtx::default(),
+            seam_flits: Vec::new(),
+            seam_credits: Vec::new(),
+            ejects: Vec::new(),
+            dones: VecDeque::new(),
+            drops: VecDeque::new(),
+        };
+        for &node in nodes {
+            let nbrs = LINK_DIRECTIONS.map(|d| mesh.neighbor(node, d));
+            tile.peers.push(nbrs.map(|nbr| {
+                let (w, local) = place[nbr?.index()];
+                Some(if w == me {
+                    Peer::Local(local as u32)
+                } else {
+                    Peer::Seam(w as u16, local as u32)
+                })
+            }));
+            tile.in_links
+                .push(nbrs.map(|n| n.map(|_| DelayLine::new(LINK_LATENCY))));
+            tile.in_credits
+                .push(nbrs.map(|n| n.map(|_| DelayLine::new(CREDIT_LATENCY))));
         }
+        tile
+    }
+
+    /// Park `flit` at the head of local node `i`'s source queue (the
+    /// retransmit buffer has priority over fresh traffic).
+    pub(crate) fn requeue(&mut self, i: usize, flit: Flit) {
+        let id = self.pool.alloc(flit);
+        self.queues[i].push_front(id);
     }
 }
 
-/// One worker's private state: its step context plus the outboxes the
-/// commit phase drains. All buffers keep their capacity across cycles.
-#[derive(Default)]
-pub(crate) struct TileShard {
-    pub(crate) ctx: StepCtx,
-    pub(crate) seam_flits: Vec<SeamFlit>,
-    pub(crate) seam_credits: Vec<SeamCredit>,
-    pub(crate) ejects: Vec<EjectRec>,
-    pub(crate) dones: Vec<DoneRec>,
-    pub(crate) drops: Vec<DropRec>,
-}
-
-/// A flit crossing a tile seam: deliver to `dst`'s input port `dir`.
+/// A flit or credit crossing a tile seam: deliver `sent` to input port
+/// `dir` of local node `local` of tile `tile`.
 #[derive(Clone, Copy)]
-pub(crate) struct SeamFlit {
-    pub(crate) dst: NodeId,
+pub(crate) struct Seam<T> {
+    pub(crate) tile: u16,
+    pub(crate) local: u32,
     pub(crate) dir: Direction,
-    pub(crate) flit: Flit,
-}
-
-/// A credit return crossing a tile seam.
-#[derive(Clone, Copy)]
-pub(crate) struct SeamCredit {
-    pub(crate) dst: NodeId,
-    pub(crate) dir: Direction,
-    pub(crate) credits: u32,
+    pub(crate) sent: T,
 }
 
 /// A flit ejection, replayed into `NetStats::record_flit_ejected`.
@@ -113,8 +165,8 @@ pub(crate) struct EjectRec {
 
 /// A completed packet, replayed in node order (`record_packet_done` +
 /// `TrafficModel::on_delivered`). `flit_created` is the completing flit's
-/// creation cycle — the sequential engine derives the measurement-window
-/// flag from the flit, not the packet head.
+/// creation cycle: the measurement-window flag comes from the flit, not
+/// the packet head.
 #[derive(Clone, Copy)]
 pub(crate) struct DoneRec {
     pub(crate) node: NodeId,
@@ -131,428 +183,375 @@ pub(crate) struct DropRec {
     pub(crate) flit: Flit,
 }
 
-/// Raw views of the network's per-node arrays, shared across workers for
-/// the duration of one parallel phase.
-///
-/// # Safety contract
-///
-/// Workers only dereference elements their tile owns: `routers[i]`,
-/// `queues[i]` and `pools`/`reassemblers` at the worker's own shard index
-/// for `i` in the tile, plus `in_links[j]`/`in_credits[j]` for intra-tile
-/// sends where `shard_of[j]` is the worker's tile. Tiles partition the
-/// nodes, so element accesses from different workers never alias;
-/// `neighbors`/`shard_of` are read-only.
-pub(crate) struct SharedGrid<R> {
-    pub(crate) routers: *mut R,
-    pub(crate) in_links: *mut [Option<DelayLine<FlitId>>; NUM_LINK_PORTS],
-    pub(crate) in_credits: *mut [Option<DelayLine<u32>>; NUM_LINK_PORTS],
-    pub(crate) queues: *mut VecDeque<FlitId>,
-    pub(crate) pools: *mut FlitPool,
-    pub(crate) reassemblers: *mut Reassembler,
-    pub(crate) neighbors: *const [Option<NodeId>; NUM_LINK_PORTS],
-    pub(crate) shard_of: *const u16,
-    pub(crate) mesh: Mesh,
-}
-
-// Safety: per the contract above, concurrent access through the pointers
-// is to disjoint elements only; `R: Send` makes moving that access across
-// threads sound.
-unsafe impl<R: Send> Sync for SharedGrid<R> {}
-
-/// Base pointer of the shard array; each broadcast slot dereferences only
-/// its own index.
-pub(crate) struct SharedShards(pub(crate) *mut TileShard);
-unsafe impl Sync for SharedShards {}
-
-impl SharedShards {
-    /// Safety: callers pass distinct in-bounds `w` per concurrent borrow.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn shard(&self, w: usize) -> &mut TileShard {
-        unsafe { &mut *self.0.add(w) }
-    }
-}
-
-/// One worker's router phase over its tile: the sequential per-node body
-/// minus tracing/verification/resilience (all force the sequential path),
-/// with cross-node effects split per the module docs. `nodes` is in
-/// ascending id order, so every outbox comes out node-sorted.
-pub(crate) fn step_tile<R: RouterModel>(
-    grid: &SharedGrid<R>,
-    nodes: &[NodeId],
-    shard: &mut TileShard,
-    me: u16,
+/// Step local node `i` of `tile` at cycle `t`: receive its arrivals and
+/// credits, offer the queue head, step the router, then route every output
+/// (links, credits, injection, ejections, drops) per the module docs.
+#[inline]
+pub(crate) fn step_node<R: RouterModel, H: Hooks>(
+    tile: &mut Tile<R>,
+    i: usize,
+    mesh: &Mesh,
+    hooks: &mut H,
     t: Cycle,
 ) {
-    let TileShard {
+    let Tile {
+        nodes,
+        routers,
+        peers,
+        in_links,
+        in_credits,
+        queues,
+        pool,
+        reassembler,
         ctx,
         seam_flits,
         seam_credits,
         ejects,
         dones,
         drops,
-    } = shard;
-    // Safety (this and every dereference below): tile `me` owns `nodes`,
-    // see the SharedGrid contract.
-    let pool = unsafe { &mut *grid.pools.add(me as usize) };
-    let reassembler = unsafe { &mut *grid.reassemblers.add(me as usize) };
-    for &node in nodes {
-        let i = node.index();
-        debug_assert_eq!(unsafe { *grid.shard_of.add(i) }, me, "node outside tile");
-        ctx.reset(t);
-        ctx.trace.set_enabled(false);
-        ctx.probe.set_enabled(false);
+    } = tile;
+    let node = nodes[i];
+    ctx.reset(t);
+    ctx.trace.set_enabled(hooks.tracing());
+    ctx.probe.set_enabled(hooks.observer().is_some());
 
-        let in_links = unsafe { &mut *grid.in_links.add(i) };
-        let in_credits = unsafe { &mut *grid.in_credits.add(i) };
-        for d in LINK_DIRECTIONS {
-            if let Some(line) = in_links[d.index()].as_mut() {
-                if let Some(id) = line.recv(t) {
-                    ctx.arrivals[d.index()] = Some(pool.take(id));
-                }
-            }
-            if let Some(line) = in_credits[d.index()].as_mut() {
-                if let Some(c) = line.recv(t) {
-                    ctx.credits_in[d.index()] = c;
-                }
+    for d in LINK_DIRECTIONS {
+        if let Some(line) = in_links[i][d.index()].as_mut() {
+            if let Some(id) = line.recv(t) {
+                ctx.arrivals[d.index()] = Some(pool.take(id));
             }
         }
-        let queue = unsafe { &mut *grid.queues.add(i) };
-        ctx.injection = queue.front().map(|&id| {
-            let mut f = *pool.get(id);
-            f.injected = t;
-            f
-        });
+        if let Some(line) = in_credits[i][d.index()].as_mut() {
+            if let Some(c) = line.recv(t) {
+                ctx.credits_in[d.index()] = c;
+            }
+        }
+    }
+    let queue = &mut queues[i];
+    hooks.sequence_head(node, queue, pool);
+    ctx.injection = queue.front().map(|&id| {
+        let mut f = *pool.get(id);
+        f.injected = t;
+        f
+    });
 
-        let router = unsafe { &mut *grid.routers.add(i) };
-        #[cfg(debug_assertions)]
-        let (arrivals_offered, occ_before) =
-            (ctx.arrivals.iter().flatten().count(), router.occupancy());
-        router.step(ctx);
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            occ_before + arrivals_offered + usize::from(ctx.injected)
-                == router.occupancy() + ctx.flits_out(),
-            "flit conservation violated at {node} cycle {t}"
-        );
+    // Routers may consume (take) their arrivals, so snapshot the inputs for
+    // the observer, or for the debug conservation check, before stepping.
+    let router = &mut routers[i];
+    let watched = hooks.observer().is_some() || cfg!(debug_assertions);
+    let before = watched.then(|| {
+        let inputs = StepInputs {
+            arrivals: ctx.arrivals,
+            injection: ctx.injection,
+        };
+        (inputs, router.occupancy())
+    });
+    router.step(ctx);
+    if let Some((inputs, occ_before)) = before {
+        let occ_after = router.occupancy();
+        match hooks.observer() {
+            // Observed runs report conservation violations structurally,
+            // before the outputs are consumed below.
+            Some(observer) => observer.on_router_step(node, &inputs, ctx, occ_before, occ_after),
+            None => debug_assert_eq!(
+                occ_before + inputs.arrivals_offered() + usize::from(ctx.injected),
+                occ_after + ctx.flits_out(),
+                "flit conservation violated at {node} cycle {t}"
+            ),
+        }
+    }
 
-        let neighbors = unsafe { &*grid.neighbors.add(i) };
-
-        // Outgoing flits: intra-tile straight onto the wire, seam-crossing
-        // into the outbox.
-        for d in LINK_DIRECTIONS {
-            if let Some(mut flit) = ctx.out_links[d.index()].take() {
-                let nbr = neighbors[d.index()]
-                    .unwrap_or_else(|| panic!("{node} routed {flit:?} off-mesh via {d}"));
-                flit.hops += 1;
-                ctx.events.link_traversals += 1;
-                if unsafe { *grid.shard_of.add(nbr.index()) } == me {
+    // Outgoing flits: intra-tile straight onto the wire, seam-crossing
+    // into the outbox.
+    for d in LINK_DIRECTIONS {
+        if let Some(mut flit) = ctx.out_links[d.index()].take() {
+            let peer = peers[i][d.index()]
+                .unwrap_or_else(|| panic!("{node} routed {flit:?} off-mesh via {d}"));
+            if !hooks.on_send(node, d, &mut flit, &mut ctx.events) {
+                continue;
+            }
+            flit.hops += 1;
+            ctx.events.link_traversals += 1;
+            hooks.emit(&mut ctx.trace, || TraceEvent::Hop {
+                cycle: t,
+                node,
+                packet: flit.packet,
+                flit_index: flit.flit_index as u16,
+                dir: d,
+            });
+            match peer {
+                Peer::Local(j) => {
                     let id = pool.alloc(flit);
-                    let lines = unsafe { &mut *grid.in_links.add(nbr.index()) };
-                    lines[d.opposite().index()]
+                    in_links[j as usize][d.opposite().index()]
                         .as_mut()
                         .expect("reverse link exists")
                         .send(t, id);
-                } else {
-                    seam_flits.push(SeamFlit {
-                        dst: nbr,
-                        dir: d.opposite(),
-                        flit,
-                    });
                 }
+                Peer::Seam(tile, local) => seam_flits.push(Seam {
+                    tile,
+                    local,
+                    dir: d.opposite(),
+                    sent: flit,
+                }),
             }
         }
+    }
 
-        // Credits upstream, same split.
-        for d in LINK_DIRECTIONS {
-            let c = ctx.credits_out[d.index()];
-            if c > 0 {
-                if let Some(upstream) = neighbors[d.index()] {
-                    if unsafe { *grid.shard_of.add(upstream.index()) } == me {
-                        let wires = unsafe { &mut *grid.in_credits.add(upstream.index()) };
-                        wires[d.opposite().index()]
-                            .as_mut()
-                            .expect("reverse credit wire exists")
-                            .send(t, c);
-                    } else {
-                        seam_credits.push(SeamCredit {
-                            dst: upstream,
-                            dir: d.opposite(),
-                            credits: c,
-                        });
-                    }
-                }
+    // Credits upstream, same split.
+    for d in LINK_DIRECTIONS {
+        let c = ctx.credits_out[d.index()];
+        if c > 0 {
+            match peers[i][d.index()] {
+                Some(Peer::Local(j)) => in_credits[j as usize][d.opposite().index()]
+                    .as_mut()
+                    .expect("reverse credit wire exists")
+                    .send(t, c),
+                Some(Peer::Seam(tile, local)) => seam_credits.push(Seam {
+                    tile,
+                    local,
+                    dir: d.opposite(),
+                    sent: c,
+                }),
+                None => {}
             }
         }
+    }
 
-        // Injection accepted?
-        if ctx.injected {
-            let popped = queue.pop_front();
-            debug_assert!(popped.is_some(), "router injected a phantom flit");
-            ctx.events.injections += 1;
-            if let Some(id) = popped {
-                let _ = pool.take(id);
-            }
-        }
-
-        // Ejections -> reassembly (sharded by destination, so tile-local);
-        // stats and completions buffer for the commit phase.
-        for flit in ctx.ejected.drain(..) {
-            debug_assert_eq!(flit.dst, node, "flit ejected at wrong node");
-            ctx.events.ejections += 1;
-            ejects.push(EjectRec {
-                created: flit.created,
-                hops: flit.hops,
-            });
-            if let Some(done) = reassembler.accept(&flit, t) {
-                dones.push(DoneRec {
-                    node,
-                    done,
-                    flit_created: flit.created,
-                });
-            }
-        }
-
-        // Drops buffer whole flits: the retransmission channel is global
-        // and FIFO-sequenced, so sends happen at commit in node order.
-        for mut flit in ctx.dropped.drain(..) {
-            ctx.events.drops += 1;
-            let nack_hops = grid.mesh.hop_distance(node, flit.src).max(1) as u64;
-            ctx.events.nack_hops += nack_hops;
-            ctx.events.retransmissions += 1;
-            flit.retransmits += 1;
-            drops.push(DropRec {
+    // Injection accepted?
+    if ctx.injected {
+        let popped = queue.pop_front();
+        debug_assert!(popped.is_some(), "router injected a phantom flit");
+        ctx.events.injections += 1;
+        if let Some(id) = popped {
+            let flit = pool.take(id);
+            hooks.on_injected(node, &flit);
+            hooks.emit(&mut ctx.trace, || TraceEvent::Inject {
+                cycle: t,
                 node,
-                nack_hops,
-                flit,
+                packet: flit.packet,
+                flit_index: flit.flit_index as u16,
             });
         }
     }
-}
 
-/// Type-erased broadcast job: a pointer to the caller's closure plus a
-/// monomorphic trampoline that invokes it with a worker-slot index.
-#[derive(Clone, Copy)]
-struct Job {
-    data: *const (),
-    call: unsafe fn(*const (), usize),
-}
-// SAFETY: the pointer is only dereferenced while `broadcast` blocks on
-// the completion barrier, so the pointee outlives every use.
-unsafe impl Send for Job {}
-
-struct PoolState {
-    /// Bumped once per broadcast; workers run each epoch exactly once.
-    epoch: u64,
-    job: Option<Job>,
-    /// Spawned workers still running the current epoch.
-    remaining: usize,
-    /// Spawned workers whose closure panicked this epoch.
-    panicked: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signalled on a new epoch (and on shutdown).
-    work_cv: Condvar,
-    /// Signalled when the last spawned worker finishes an epoch.
-    done_cv: Condvar,
-}
-
-/// The persistent scoped worker pool behind the tiled sweep: threads are
-/// spawned once and parked between cycles, and
-/// [`WorkerPool::broadcast`] runs one closure invocation per worker slot
-/// with the caller participating as slot 0. The call does not return
-/// until every slot finished, so the closure may borrow the caller's
-/// stack (the pool erases the lifetime internally; the completion barrier
-/// restores soundness).
-pub(crate) struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// Total worker slots, including the calling thread (slot 0).
-    workers: usize,
-}
-
-impl WorkerPool {
-    /// Pool with `workers` total slots. Slot 0 is the calling thread, so
-    /// `workers - 1` threads are spawned; a one-slot pool spawns nothing
-    /// and [`broadcast`](Self::broadcast) degenerates to a plain call.
-    pub(crate) fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                panicked: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
+    // Ejections -> delivery check (resilient runs) -> reassembly, which is
+    // tile-local because it happens at the destination; statistics and
+    // completions wait for the commit phase.
+    for flit in ctx.ejected.drain(..) {
+        debug_assert_eq!(flit.dst, node, "flit ejected at wrong node");
+        ctx.events.ejections += 1;
+        if !hooks.on_eject(node, &flit, &mut ctx.events) {
+            continue;
+        }
+        hooks.emit(&mut ctx.trace, || TraceEvent::Eject {
+            cycle: t,
+            node,
+            packet: flit.packet,
+            flit_index: flit.flit_index as u16,
+            latency: t.saturating_sub(flit.created),
         });
-        let handles = (1..workers)
-            .map(|slot| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("dxbar-pool-{slot}"))
-                    .spawn(move || worker_loop(&shared, slot))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            handles,
-            workers,
+        ejects.push(EjectRec {
+            created: flit.created,
+            hops: flit.hops,
+        });
+        if let Some(done) = reassembler.accept(&flit, t) {
+            dones.push_back(DoneRec {
+                node,
+                done,
+                flit_created: flit.created,
+            });
         }
     }
 
-    /// Run `f(slot)` once per worker slot (`0..workers`), the caller
-    /// executing slot 0, and return only after every slot finished.
-    /// Panics from any slot are re-raised here after the barrier, so
-    /// borrowed data is never touched past its lifetime even on unwind.
-    pub(crate) fn broadcast<F: Fn(usize) + Sync>(&self, f: &F) {
-        if self.workers == 1 {
-            return f(0);
+    // Drops -> NACK to the source -> retransmission (SCARAB). The channel
+    // is global and FIFO-sequenced, so the sends happen at commit.
+    for mut flit in ctx.dropped.drain(..) {
+        ctx.events.drops += 1;
+        hooks.emit(&mut ctx.trace, || TraceEvent::Drop {
+            cycle: t,
+            node,
+            packet: flit.packet,
+            flit_index: flit.flit_index as u16,
+        });
+        let nack_hops = mesh.hop_distance(node, flit.src).max(1) as u64;
+        ctx.events.nack_hops += nack_hops;
+        ctx.events.retransmissions += 1;
+        flit.retransmits += 1;
+        drops.push_back(DropRec {
+            node,
+            nack_hops,
+            flit,
+        });
+    }
+
+    hooks.end_node(ctx);
+}
+
+/// Per-node extension points of the node kernel. Every default is a no-op
+/// (or "proceed"), which is exactly the undiagnosed behaviour.
+pub(crate) trait Hooks {
+    /// Whether routers and the kernel stage trace events.
+    fn tracing(&self) -> bool {
+        false
+    }
+
+    /// The verification observer, when one sees every step (and routers
+    /// stage probes for it).
+    fn observer(&mut self) -> Option<&mut dyn RunObserver> {
+        None
+    }
+
+    /// Stage one kernel trace event; built only when tracing.
+    #[inline]
+    fn emit(&self, buf: &mut TraceBuf, event: impl FnOnce() -> TraceEvent) {
+        if self.tracing() {
+            buf.emit(event);
         }
-        unsafe fn trampoline<F: Fn(usize) + Sync>(data: *const (), slot: usize) {
-            unsafe { (*(data as *const F))(slot) }
+    }
+
+    /// Sequence the queue head in place before it is offered, so the
+    /// sequence number survives the eventual pop.
+    fn sequence_head(&mut self, _: NodeId, _: &VecDeque<FlitId>, _: &mut FlitPool) {}
+
+    /// Link phase of one send; `false` when the wire swallowed the flit.
+    fn on_send(&mut self, _: NodeId, _: Direction, _: &mut Flit, _: &mut EventCounts) -> bool {
+        true
+    }
+
+    /// The source NI handed `flit` to the network.
+    fn on_injected(&mut self, _: NodeId, _: &Flit) {}
+
+    /// Delivery check of one ejected flit; `false` when it is bounced or
+    /// suppressed instead of delivered.
+    fn on_eject(&mut self, _: NodeId, _: &Flit, _: &mut EventCounts) -> bool {
+        true
+    }
+
+    /// The node is done for this cycle.
+    fn end_node(&mut self, _: &mut StepCtx) {}
+}
+
+/// The fast path: no hooks at all.
+pub(crate) struct NoHooks;
+
+impl Hooks for NoHooks {}
+
+/// Hooks of a traced, verified or resilient run, borrowed from the
+/// network for one cycle.
+pub(crate) struct Diagnosed<'a> {
+    pub(crate) t: Cycle,
+    pub(crate) mesh: &'a Mesh,
+    /// Measurement window, for the recovery-latency samples.
+    pub(crate) window: Range<Cycle>,
+    pub(crate) tracing: bool,
+    /// The observer, when it is active.
+    pub(crate) observer: Option<&'a mut dyn RunObserver>,
+    pub(crate) sink: &'a mut dyn TraceSink,
+    pub(crate) resilience: Option<&'a mut ResilienceState>,
+    pub(crate) stats: &'a mut NetStats,
+}
+
+impl Hooks for Diagnosed<'_> {
+    fn tracing(&self) -> bool {
+        self.tracing
+    }
+
+    fn observer(&mut self) -> Option<&mut dyn RunObserver> {
+        Some(&mut **self.observer.as_mut()?)
+    }
+
+    fn sequence_head(&mut self, node: NodeId, queue: &VecDeque<FlitId>, pool: &mut FlitPool) {
+        if let (Some(res), Some(&front)) = (self.resilience.as_mut(), queue.front()) {
+            res.senders[node.index()].sequence(pool.get_mut(front));
         }
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            assert_eq!(st.remaining, 0, "overlapping broadcast");
-            st.job = Some(Job {
-                data: f as *const F as *const (),
-                call: trampoline::<F>,
-            });
-            st.epoch += 1;
-            st.remaining = self.workers - 1;
-            self.shared.work_cv.notify_all();
-        }
-        let own = catch_unwind(AssertUnwindSafe(|| f(0)));
-        let worker_panicked = {
-            let mut st = self.shared.state.lock().unwrap();
-            while st.remaining > 0 {
-                st = self.shared.done_cv.wait(st).unwrap();
-            }
-            st.job = None;
-            std::mem::take(&mut st.panicked) > 0
+    }
+
+    /// A dead link swallows the flit, a transient strike corrupts or drops
+    /// it. Flits already on the wire when a link dies still arrive (the
+    /// onset kills future sends, not in-flight data).
+    fn on_send(
+        &mut self,
+        node: NodeId,
+        dir: Direction,
+        flit: &mut Flit,
+        events: &mut EventCounts,
+    ) -> bool {
+        let Some(res) = self.resilience.as_mut() else {
+            return true;
         };
-        if let Err(payload) = own {
-            resume_unwind(payload);
-        }
-        if worker_panicked {
-            panic!("WorkerPool: a worker thread panicked during broadcast");
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared, slot: usize) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen {
-                    if let Some(job) = st.job {
-                        seen = st.epoch;
-                        break job;
-                    }
-                }
-                st = shared.work_cv.wait(st).unwrap();
-            }
+        let strike = if res.link_dead(node, dir) {
+            Some(TransientEffect::Drop)
+        } else {
+            res.take_strike(node, dir)
         };
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, slot) }));
-        let mut st = shared.state.lock().unwrap();
-        if result.is_err() {
-            st.panicked += 1;
-        }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::WorkerPool;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn broadcast_runs_every_slot_exactly_once() {
-        let pool = WorkerPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        for _ in 0..50 {
-            pool.broadcast(&|slot| {
-                hits[slot].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 50);
-        }
-    }
-
-    #[test]
-    fn broadcast_borrows_caller_stack() {
-        // The whole point of the scoped design: workers mutate disjoint
-        // parts of a stack-local buffer through raw-pointer partitioning.
-        struct Cells(*mut u64);
-        unsafe impl Sync for Cells {}
-        impl Cells {
-            unsafe fn set(&self, i: usize, v: u64) {
-                unsafe { *self.0.add(i) = v }
-            }
-        }
-        let pool = WorkerPool::new(3);
-        let mut out = [0u64; 3];
-        let cells = Cells(out.as_mut_ptr());
-        pool.broadcast(&|slot| unsafe { cells.set(slot, slot as u64 + 7) });
-        assert_eq!(out, [7, 8, 9]);
-    }
-
-    #[test]
-    fn single_slot_pool_runs_inline() {
-        let pool = WorkerPool::new(1);
-        let count = AtomicUsize::new(0);
-        pool.broadcast(&|slot| {
-            assert_eq!(slot, 0);
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn worker_panic_propagates_and_pool_survives() {
-        let pool = WorkerPool::new(2);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.broadcast(&|slot| {
-                if slot == 1 {
-                    panic!("boom");
+        match strike {
+            Some(TransientEffect::Drop) => {
+                events.transit_losses += 1;
+                if let Some(observer) = self.observer() {
+                    observer.on_transit_loss(node, dir, flit);
                 }
-            });
-        }));
-        assert!(r.is_err());
-        // The pool is still usable after a propagated panic.
-        let count = AtomicUsize::new(0);
-        pool.broadcast(&|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 2);
+                false
+            }
+            Some(TransientEffect::Corrupt(mask)) => {
+                flit.corrupt_payload(mask);
+                events.transit_corruptions += 1;
+                if let Some(observer) = self.observer() {
+                    observer.on_transit_corrupt(node, dir, flit);
+                }
+                true
+            }
+            None => true,
+        }
+    }
+
+    /// Arm (or re-arm, for a retransmission) the ARQ timer at the actual
+    /// network entry, so source queueing never burns the retry budget.
+    fn on_injected(&mut self, node: NodeId, flit: &Flit) {
+        if let Some(res) = self.resilience.as_mut() {
+            res.senders[node.index()].on_injected(flit.seq, self.t);
+        }
+    }
+
+    /// CRC check and ACK/NACK at the destination NI, then receiver-side
+    /// dedup of spurious-timeout retransmissions.
+    fn on_eject(&mut self, node: NodeId, flit: &Flit, events: &mut EventCounts) -> bool {
+        let Some(res) = self.resilience.as_mut().filter(|_| flit.seq != 0) else {
+            return true;
+        };
+        let back_hops = self.mesh.hop_distance(node, flit.src).max(1) as u64;
+        events.ack_hops += back_hops;
+        let nack = !flit.crc_ok();
+        let (to, seq) = (flit.src, flit.seq);
+        res.acks.send(self.t, back_hops, AckMsg { to, seq, nack });
+        if nack {
+            // Bounced; the source NI retransmits.
+            events.crc_rejects += 1;
+            if let Some(observer) = self.observer() {
+                observer.on_crc_reject(node, flit);
+            }
+            return false;
+        }
+        if !res.record_delivery(to, seq) {
+            // Re-ACKed above, suppressed here.
+            events.duplicates_suppressed += 1;
+            return false;
+        }
+        if flit.retransmits > 0 {
+            // Delivery needed recovery: creation -> final-delivery latency.
+            let created_in_window = self.window.contains(&flit.created);
+            self.stats
+                .record_recovery(flit.created, self.t, created_in_window);
+        }
+        true
+    }
+
+    fn end_node(&mut self, ctx: &mut StepCtx) {
+        if self.observer.is_some() {
+            // The observer consumed this node's per-step event deltas;
+            // harvest them now so the next router starts from zero.
+            self.stats.events.merge(&ctx.events);
+            ctx.events = EventCounts::default();
+        }
+        ctx.trace.drain_into(&mut *self.sink);
     }
 }

@@ -3,13 +3,13 @@
 //! The parallel stepping engine shards the mesh into rectangular tiles,
 //! one per worker. A [`TilePartition`] picks the tile grid, assigns every
 //! node to exactly one tile, and exposes the per-tile node lists in
-//! ascending node-id order (the order the sequential engine sweeps them,
-//! which the deterministic commit phase relies on).
+//! ascending node-id order (row-major, the order the deterministic commit
+//! phase replays them in).
 //!
 //! The partition is pure index arithmetic on the `width x height` router
 //! grid, so it is topology-agnostic: torus wraparound and concentrated
-//! meshes change which node pairs are neighbours (the engine's precomputed
-//! neighbour table handles that), not which nodes exist. A wrap link whose
+//! meshes change which node pairs are neighbours (the engine's per-tile
+//! link table handles that), not which nodes exist. A wrap link whose
 //! endpoints land in different tiles is simply a seam link like any other.
 
 use noc_core::types::NodeId;
@@ -20,8 +20,6 @@ use noc_core::types::NodeId;
 pub struct TilePartition {
     /// Node ids per tile, each strictly ascending.
     tiles: Vec<Vec<NodeId>>,
-    /// `shard_of[node]`: the tile owning that node.
-    shard_of: Vec<u16>,
     /// Tile-grid dimensions (columns, rows).
     grid: (u16, u16),
 }
@@ -47,7 +45,6 @@ impl TilePartition {
             want -= 1;
         };
 
-        let mut shard_of = vec![0u16; nodes];
         let mut tile_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); tx as usize * ty as usize];
         for y in 0..height {
             let band_y = band_of(y, height, ty);
@@ -55,7 +52,6 @@ impl TilePartition {
                 let band_x = band_of(x, width, tx);
                 let tile = band_y as usize * tx as usize + band_x as usize;
                 let node = NodeId(y * width + x);
-                shard_of[node.index()] = tile as u16;
                 tile_nodes[tile].push(node);
             }
         }
@@ -63,7 +59,6 @@ impl TilePartition {
         debug_assert!(tile_nodes.iter().all(|t| t.windows(2).all(|w| w[0] < w[1])));
         TilePartition {
             tiles: tile_nodes,
-            shard_of,
             grid: (tx, ty),
         }
     }
@@ -85,18 +80,6 @@ impl TilePartition {
     pub fn nodes(&self, tile: usize) -> &[NodeId] {
         &self.tiles[tile]
     }
-
-    /// The tile owning each node, indexed by `NodeId::index`.
-    #[inline]
-    pub fn shard_of(&self) -> &[u16] {
-        &self.shard_of
-    }
-
-    /// The tile owning `node`.
-    #[inline]
-    pub fn tile_of(&self, node: NodeId) -> usize {
-        self.shard_of[node.index()] as usize
-    }
 }
 
 /// Band index of coordinate `c` when `len` cells split into `bands` ranges
@@ -115,7 +98,7 @@ fn band_of(c: u16, len: u16, bands: u16) -> u16 {
 fn best_grid(width: u16, height: u16, want: usize) -> Option<(u16, u16)> {
     let mut best: Option<(u16, u16, usize)> = None;
     for tx in 1..=want {
-        if want % tx != 0 {
+        if !want.is_multiple_of(tx) {
             continue;
         }
         let ty = want / tx;
@@ -143,7 +126,6 @@ mod tests {
             for &n in p.nodes(t) {
                 assert!(!seen[n.index()], "node {n} in two tiles");
                 seen[n.index()] = true;
-                assert_eq!(p.tile_of(n), t);
             }
             // Ascending within each tile (the commit phase's merge order).
             assert!(p.nodes(t).windows(2).all(|w| w[0] < w[1]));
@@ -188,10 +170,7 @@ mod tests {
         let p = check_partition(10, 6, 4);
         assert_eq!(p.num_tiles(), 4);
         let sizes: Vec<usize> = (0..4).map(|t| p.nodes(t).len()).collect();
-        let (min, max) = (
-            *sizes.iter().min().unwrap(),
-            *sizes.iter().max().unwrap(),
-        );
+        let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
         // Near-equal tiles: no tile more than a row/column larger.
         assert!(max - min <= 10, "unbalanced tiles: {sizes:?}");
     }

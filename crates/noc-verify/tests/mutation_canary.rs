@@ -199,20 +199,28 @@ impl Workload for Rogue {
     }
 }
 
+/// The oracles' findings for `bug`, which must be the same on one tile
+/// and on four: verified runs step the same node kernel at every count.
 fn run_on(bug: Bug, topology: noc_topology::Topology) -> Result<(), Vec<ViolationKind>> {
     let cfg = SimConfig { topology, ..cfg() };
-    // The rogue router reports itself as DXbar DOR, so that design's
-    // oracle profile applies.
-    let out = Run::new(Design::DXbarDor, &cfg)
-        .workload(Rogue(bug))
-        .verify(VerifyOptions::default())
-        .run();
-    let report = out.verify.expect("verified run");
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(report.violations.iter().map(|v| v.kind).collect())
-    }
+    let findings = |tiles: usize| {
+        // The rogue router reports itself as DXbar DOR, so that design's
+        // oracle profile applies.
+        let out = Run::new(Design::DXbarDor, &cfg)
+            .workload(Rogue(bug))
+            .verify(VerifyOptions::default())
+            .tile_threads(tiles)
+            .run();
+        let report = out.verify.expect("verified run");
+        if report.is_clean() {
+            Ok(())
+        } else {
+            Err(report.violations.iter().map(|v| v.kind).collect())
+        }
+    };
+    let sequential = findings(0);
+    assert_eq!(findings(4), sequential, "{bug:?} on 4 tiles");
+    sequential
 }
 
 #[test]

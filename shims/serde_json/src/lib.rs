@@ -35,11 +35,19 @@ pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     from_str(s)
 }
 
-/// Parse JSON text into the generic [`Value`] tree.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a small hostile input (`[[[[...`)
+/// overflows the thread's stack and aborts the process. 128 is upstream
+/// serde_json's default recursion limit.
+const MAX_DEPTH: usize = 128;
+
+/// Parse JSON text into the generic [`Value`] tree. Arrays and objects
+/// nested more than 128 levels deep are an error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -56,6 +64,8 @@ pub fn parse(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -99,8 +109,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(|p| p.array()),
+            Some(b'{') => self.nested(|p| p.object()),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::msg(format!(
                 "unexpected {:?} at byte {}",
@@ -108,6 +118,23 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "JSON nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -291,6 +318,19 @@ mod tests {
         let v = Value::F64(2.0);
         assert_eq!(v.to_json(), "2.0");
         assert_eq!(parse("2.0").unwrap(), Value::F64(2.0));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).unwrap_err().to_string();
+        assert!(err.contains("nested deeper"), "{err}");
+        // Unbounded, 100k levels overflow a default-size thread stack and
+        // abort the process; bounded, they are a plain error.
+        let deep = std::thread::spawn(|| parse(&"[".repeat(100_000)).is_err());
+        assert!(deep.join().expect("parse must not crash the thread"));
     }
 
     #[test]

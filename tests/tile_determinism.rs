@@ -5,13 +5,22 @@
 //! freely — they are a throughput knob, never a model change, and
 //! deliberately not part of the campaign cache key.
 
+use dxbar_noc::noc_core::flit::Flit;
+use dxbar_noc::noc_core::types::{Direction, NodeId};
 use dxbar_noc::noc_faults::FaultPlan;
 use dxbar_noc::noc_power::energy::EnergyModel;
+use dxbar_noc::noc_resilience::{LinkFault, ResiliencePlan, TransientSpec};
+use dxbar_noc::noc_sim::noc_trace::{RecordingSink, TraceEvent};
 use dxbar_noc::noc_sim::runner::{run, RunMode};
+use dxbar_noc::noc_sim::{RunObserver, StepCtx, StepInputs};
 use dxbar_noc::noc_topology::Mesh;
+use dxbar_noc::noc_traffic::generator::SyntheticTraffic;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::{AppParams, SplashApp, SplashTraffic};
+use dxbar_noc::noc_verify::VerifyOptions;
 use dxbar_noc::{Design, Run, RunResult, SimConfig};
+use std::any::Any;
+use std::sync::OnceLock;
 
 fn json(r: &RunResult) -> String {
     serde_json::to_string(r).expect("serialize RunResult")
@@ -19,11 +28,29 @@ fn json(r: &RunResult) -> String {
 
 /// The serialized result of a synthetic run stepped by `tiles` workers.
 fn synthetic(design: Design, cfg: &SimConfig, pattern: Pattern, load: f64, tiles: usize) -> String {
-    let out = Run::new(design, cfg)
-        .synthetic(pattern, load)
-        .tile_threads(tiles)
-        .run();
-    json(&out.result)
+    json(
+        &Run::new(design, cfg)
+            .synthetic(pattern, load)
+            .tile_threads(tiles)
+            .run()
+            .result,
+    )
+}
+
+/// Asserts `observe(design, n)` for every `n` in `tiles` equals the
+/// sequential `observe(design, 0)`, for each of `designs`.
+fn same_at_tile_counts<T: PartialEq>(
+    designs: &[Design],
+    tiles: &[usize],
+    observe: impl Fn(Design, usize) -> T,
+) {
+    for &design in designs {
+        let baseline = observe(design, 0);
+        for &n in tiles {
+            let same = observe(design, n) == baseline;
+            assert!(same, "{} on {n} tile workers diverged", design.name());
+        }
+    }
 }
 
 #[test]
@@ -40,21 +67,11 @@ fn every_design_every_worker_count_matches_sequential() {
         seed: 7,
         ..SimConfig::default()
     };
-    for design in Design::ALL {
-        // Moderate load: enough traffic for deflections, drops and
-        // buffering on every design without saturating the slow ones.
-        let load = 0.3;
-        let baseline = synthetic(design, &cfg, Pattern::MatrixTranspose, load, 0);
-        for workers in [1usize, 2, 4, 8] {
-            let tiled = synthetic(design, &cfg, Pattern::MatrixTranspose, load, workers);
-            assert_eq!(
-                tiled,
-                baseline,
-                "{} with {workers} tile workers diverged from sequential",
-                design.name()
-            );
-        }
-    }
+    // Moderate load: enough traffic for deflections, drops and buffering
+    // on every design without saturating the slow ones.
+    same_at_tile_counts(&Design::ALL, &[1, 2, 4, 8], |design, tiles| {
+        synthetic(design, &cfg, Pattern::MatrixTranspose, 0.3, tiles)
+    });
 }
 
 #[test]
@@ -71,11 +88,9 @@ fn scarab_under_heavy_drops_matches_sequential() {
         seed: 99,
         ..SimConfig::default()
     };
-    let baseline = synthetic(Design::Scarab, &cfg, Pattern::UniformRandom, 0.6, 0);
-    for workers in [2usize, 4] {
-        let tiled = synthetic(Design::Scarab, &cfg, Pattern::UniformRandom, 0.6, workers);
-        assert_eq!(tiled, baseline, "scarab diverged at {workers} workers");
-    }
+    same_at_tile_counts(&[Design::Scarab], &[2, 4], |design, tiles| {
+        synthetic(design, &cfg, Pattern::UniformRandom, 0.6, tiles)
+    });
 }
 
 #[test]
@@ -97,30 +112,150 @@ fn closed_loop_splash_matches_sequential() {
         txns_per_core: 30,
         burst_len: 4,
     };
-    let splash = |design: Design, workers: usize| {
-        let mesh = Mesh::new(cfg.width, cfg.height);
-        let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
-        net.set_tile_threads(workers);
-        let mut model = SplashTraffic::with_params(SplashApp::Fft, params, mesh, cfg.seed);
-        json(&run(
-            &mut net,
-            &mut model,
-            RunMode::ClosedLoop {
+    same_at_tile_counts(
+        &[Design::DXbarDor, Design::Scarab],
+        &[2, 4],
+        |design, tiles| {
+            let mesh = Mesh::new(cfg.width, cfg.height);
+            let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
+            net.set_tile_threads(tiles);
+            let mut model = SplashTraffic::with_params(SplashApp::Fft, params, mesh, cfg.seed);
+            let mode = RunMode::ClosedLoop {
                 max_cycles: 2_000_000,
-            },
-            &EnergyModel::default(),
-        ))
-    };
-    for design in [Design::DXbarDor, Design::Scarab] {
-        let baseline = splash(design, 0);
-        for workers in [2usize, 4] {
-            let tiled = splash(design, workers);
-            assert_eq!(
-                tiled,
-                baseline,
-                "splash fft on {} diverged at {workers} workers",
-                design.name()
-            );
+            };
+            json(&run(&mut net, &mut model, mode, &EnergyModel::default()))
+        },
+    );
+}
+
+/// Diagnosed runs (verified, traced, resilient) visit every node in
+/// row-major order whatever the tile count, but their sends, seam sends
+/// and commit phase are the tiled ones: one design per router family.
+const DIAGNOSED: [Design; 3] = [Design::DXbarDor, Design::Scarab, Design::Afc];
+
+/// A synthetic run on 6x6, where 4 tiles are 3x3 quadrants with seams.
+fn diagnosed(design: Design, tiles: usize) -> Run<'static> {
+    static CFG: OnceLock<SimConfig> = OnceLock::new();
+    let cfg = CFG.get_or_init(|| SimConfig {
+        width: 6,
+        height: 6,
+        warmup_cycles: 100,
+        measure_cycles: 400,
+        drain_cycles: 300,
+        seed: 5,
+        ..SimConfig::default()
+    });
+    Run::new(design, cfg)
+        .synthetic(Pattern::UniformRandom, 0.3)
+        .tile_threads(tiles)
+}
+
+#[test]
+fn verified_runs_match_at_every_tile_count() {
+    same_at_tile_counts(&DIAGNOSED, &[1, 4], |design, tiles| {
+        let out = diagnosed(design, tiles)
+            .verify(VerifyOptions::default())
+            .run();
+        let report = out.verify.expect("verified run");
+        assert!(report.is_clean(), "{}", report.summary());
+        (json(&out.result), format!("{report:?}"))
+    });
+}
+
+#[test]
+fn traced_runs_match_at_every_tile_count() {
+    same_at_tile_counts(&DIAGNOSED, &[1, 4], |design, tiles| {
+        let out = diagnosed(design, tiles)
+            .trace(RecordingSink::new(0, 1))
+            .run();
+        let sink = out.trace.expect("traced run");
+        let events: Vec<TraceEvent> = sink.recorder.iter().cloned().collect();
+        assert!(!events.is_empty());
+        (json(&out.result), events, format!("{:?}", sink.series))
+    });
+}
+
+/// Folds every observer call the node kernel and the end of a cycle make,
+/// in order and with its arguments, into one hash: two runs agree only if
+/// those hooks fired identically.
+struct HookLog(u64);
+
+impl HookLog {
+    fn record(&mut self, call: std::fmt::Arguments) {
+        for b in call.to_string().bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
+}
+
+impl RunObserver for HookLog {
+    fn is_active(&self) -> bool {
+        true
+    }
+    fn on_router_step(&mut self, n: NodeId, i: &StepInputs, c: &StepCtx, b: usize, a: usize) {
+        let (out, ej, dr) = (&c.out_links, &c.ejected, &c.dropped);
+        let (ev, probes) = (&c.events, c.probe.events());
+        self.record(format_args!(
+            "{n} {i:?} {out:?} {ej:?} {dr:?} {ev:?} {probes:?} {b} {a}"
+        ));
+    }
+    fn on_cycle_end(&mut self, cycle: u64, in_flight: usize) {
+        self.record(format_args!("end {cycle} {in_flight}"));
+    }
+    fn on_transit_corrupt(&mut self, node: NodeId, dir: Direction, flit: &Flit) {
+        self.record(format_args!("corrupt {node} {dir} {flit:?}"));
+    }
+    fn on_transit_loss(&mut self, node: NodeId, dir: Direction, flit: &Flit) {
+        self.record(format_args!("loss {node} {dir} {flit:?}"));
+    }
+    fn on_crc_reject(&mut self, node: NodeId, flit: &Flit) {
+        self.record(format_args!("crc {node} {flit:?}"));
+    }
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
+#[test]
+fn resilient_runs_match_at_every_tile_count() {
+    // Transients everywhere, and a link dying mid-run on the seam between
+    // the two upper quadrants ((2,2) -> (3,2)).
+    let plan = ResiliencePlan::none()
+        .with_transients(TransientSpec {
+            rate: 2e-3,
+            drop_fraction: 0.5,
+            seed: 3,
+        })
+        .with_link_faults(vec![LinkFault {
+            node: NodeId(14),
+            dir: Direction::East,
+            onset: 150,
+        }]);
+    same_at_tile_counts(&DIAGNOSED, &[1, 4], |design, tiles| {
+        let resilient = diagnosed(design, tiles).resilience(plan.clone());
+        let cfg = resilient.config();
+        let plain = resilient.run().result;
+        let events = &plain.stats.events;
+        assert!(
+            events.transit_losses > 0 && events.crc_rejects > 0,
+            "{events:?}"
+        );
+        // The same run with every hook call logged.
+        let mut net = design.build(cfg, &plan.crossbar);
+        net.set_tile_threads(tiles);
+        net.set_resilience(plan.clone());
+        net.set_observer(Box::new(HookLog(0)));
+        let rate = cfg.injection_rate(0.3);
+        let mesh = Mesh::for_config(cfg);
+        let mut model =
+            SyntheticTraffic::new(Pattern::UniformRandom, mesh, rate, cfg.packet_len, cfg.seed);
+        let observed = run(
+            &mut net,
+            &mut model,
+            RunMode::OpenLoop,
+            &EnergyModel::default(),
+        );
+        let log = net.take_observer().into_any().downcast::<HookLog>();
+        (json(&plain), json(&observed), log.expect("hook log").0)
+    });
 }
